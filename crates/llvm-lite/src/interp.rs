@@ -5,13 +5,60 @@
 //! Rust reference kernels — the IR-level equivalent of Vitis' C/RTL
 //! co-simulation step.
 //!
+//! # Decode once, then run
+//!
+//! Each function is decoded once per [`Interpreter`], lazily on its first
+//! call, into per-block lists of flat ops:
+//!
+//! * every operand becomes a **slot** in a dense per-call frame. Arguments
+//!   and instruction results get their own slots; constants, `null`,
+//!   `undef` and global addresses are slots the decoder fills in the
+//!   frame template, so an op reads all its inputs the same way;
+//! * the leading phis of a block become a list of `(predecessor, slot)`
+//!   pairs per phi, evaluated in parallel on block entry;
+//! * per-op facts are computed once: GEP strides, load/store scalar
+//!   kinds, zext source widths, result widths and callee resolution
+//!   (intrinsic, defined function, declaration or unknown name).
+//!
+//! Integers are stored sign-extended in an `i128`; a result of type `iN`
+//! wraps by sign-extending its low `N` bits (`i0` wraps to -1).
+//!
+//! # Pointers
+//!
 //! Pointers are encoded as `((buffer_id + 1) << 32) | offset`, so null is 0
-//! and every dereference can be checked against its owning buffer.
+//! and every dereference is checked against its owning buffer. A buffer
+//! therefore holds at most 4 GiB. A `getelementptr` whose result leaves
+//! the 32-bit offset field does not carry into the id bits: it yields a
+//! pointer with the reserved id `0xFFFF_FFFF`, which stays wild through
+//! further GEPs and traps on every dereference.
+//!
+//! # Traps
+//!
+//! Every fault is an [`Error::Interp`], never a panic. The messages:
+//!
+//! * `step limit exceeded` — more than [`Interpreter::step_limit`]
+//!   instructions ran (phis are not counted);
+//! * `null pointer dereference`, `wild pointer 0x…`, `pointer overflow`,
+//!   `out-of-bounds access at offset O+L in buffer of N bytes`;
+//! * `malloc of N bytes …` / `alloca of N bytes …` — a buffer the pointer
+//!   encoding cannot address;
+//! * `sdiv by zero`, `srem by zero`, `udiv by zero`, `urem by zero`;
+//! * `expected integer, got …` (likewise float, pointer) — an operand
+//!   of the wrong kind;
+//! * `read of unset %N in @f`, `unknown global @g`;
+//! * `phi in entry block`, `phi %N has no edge from block B`;
+//! * `gep steps into non-array T`, `cannot load type T`,
+//!   `cannot store type T`;
+//! * `unknown function @f`, `call to body-less declaration @f`,
+//!   `@f called with N args, expects M` (intrinsics included);
+//! * `executed unreachable`, and `malformed instruction %N in @f` /
+//!   `block L of @f has no terminator` for IR the verifier would reject.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use crate::inst::{FloatPred, InstData, IntPred, Opcode};
-use crate::module::{BlockId, Function, GlobalInit, Module};
+use crate::inst::{FloatPred, Inst, InstData, IntPred, Opcode};
+use crate::module::{BlockId, Function, GlobalInit, InstId, Module};
 use crate::types::Type;
 use crate::value::Value;
 use crate::{Error, Result};
@@ -30,18 +77,21 @@ pub enum RtVal {
 }
 
 impl RtVal {
+    #[inline]
     fn as_i(self) -> Result<i128> {
         match self {
             RtVal::I(v) => Ok(v),
             other => Err(Error::Interp(format!("expected integer, got {other:?}"))),
         }
     }
+    #[inline]
     fn as_f(self) -> Result<f64> {
         match self {
             RtVal::F(v) => Ok(v),
             other => Err(Error::Interp(format!("expected float, got {other:?}"))),
         }
     }
+    #[inline]
     fn as_p(self) -> Result<u64> {
         match self {
             RtVal::P(v) => Ok(v),
@@ -50,6 +100,74 @@ impl RtVal {
     }
 }
 
+fn trap(msg: impl Into<String>) -> Error {
+    Error::Interp(msg.into())
+}
+
+/// The offset bits of an encoded pointer.
+const OFFSET_MASK: u64 = 0xFFFF_FFFF;
+/// The id bits of a pointer a GEP moved out of its buffer. No buffer ever
+/// gets this id, so such a pointer traps as wild on every dereference.
+const ESCAPED: u64 = 0xFFFF_FFFF << 32;
+
+/// `ptr` moved by `delta` bytes, or an escaped pointer when the result
+/// leaves the 32-bit offset field.
+fn offset_ptr(ptr: u64, delta: i128) -> u64 {
+    let off = ((ptr & OFFSET_MASK) as i128).saturating_add(delta);
+    if (0..=OFFSET_MASK as i128).contains(&off) {
+        (ptr & !OFFSET_MASK) | off as u64
+    } else {
+        ESCAPED | (off as u64 & OFFSET_MASK)
+    }
+}
+
+/// Sign-extend the low `width` bits of `v`: the two's-complement wrap of
+/// an `iN` result.
+#[inline]
+fn wrap(v: i128, width: u32) -> i128 {
+    match width {
+        0 => -1,
+        1..=127 => {
+            let s = 128 - width;
+            (v << s) >> s
+        }
+        _ => v,
+    }
+}
+
+/// How a first-class scalar type is laid out in memory.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Scalar {
+    /// `iN`: `bytes` little-endian bytes, sign-extended on load by
+    /// shifting left then right by `shift`.
+    Int {
+        bytes: u8,
+        shift: u8,
+    },
+    F32,
+    F64,
+    Ptr,
+}
+
+impl Scalar {
+    /// The layout of `ty`, or `None` when `ty` cannot be loaded or stored.
+    fn of(ty: &Type) -> Option<Scalar> {
+        Some(match ty {
+            Type::Int(w) if *w <= 128 => Scalar::Int {
+                bytes: (*w).div_ceil(8).max(1) as u8,
+                shift: ((128 - *w) % 128) as u8,
+            },
+            Type::Float => Scalar::F32,
+            Type::Double => Scalar::F64,
+            Type::Ptr(_) => Scalar::Ptr,
+            _ => return None,
+        })
+    }
+}
+
+/// Largest buffer the 32-bit offset field can address.
+const MAX_BUFFER: u64 = 1 << 32;
+
 /// The interpreter's heap: a set of independent, bounds-checked buffers.
 #[derive(Default)]
 pub struct Memory {
@@ -57,110 +175,115 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Allocate `size` zeroed bytes; returns the base pointer.
+    /// Allocate `size` zeroed bytes; returns the base pointer. Panics when
+    /// `size` exceeds the 4 GiB a pointer's offset field can address.
     pub fn alloc(&mut self, size: u64) -> u64 {
-        self.buffers.push(vec![0u8; size as usize]);
-        (self.buffers.len() as u64) << 32
+        self.try_alloc("buffer", size)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn slice_mut(&mut self, ptr: u64, len: u64) -> Result<&mut [u8]> {
-        let id = (ptr >> 32) as usize;
-        let off = (ptr & 0xFFFF_FFFF) as usize;
-        if id == 0 {
-            return Err(Error::Interp("null pointer dereference".into()));
-        }
-        let buf = self
-            .buffers
-            .get_mut(id - 1)
-            .ok_or_else(|| Error::Interp(format!("wild pointer {ptr:#x}")))?;
-        let end = off
-            .checked_add(len as usize)
-            .ok_or_else(|| Error::Interp("pointer overflow".into()))?;
-        if end > buf.len() {
-            return Err(Error::Interp(format!(
-                "out-of-bounds access at offset {off}+{len} in buffer of {} bytes",
-                buf.len()
+    fn try_alloc(&mut self, what: &str, size: u64) -> Result<u64> {
+        if size > MAX_BUFFER {
+            return Err(trap(format!(
+                "{what} of {size} bytes exceeds the 4 GiB a pointer can address"
             )));
         }
-        Ok(&mut buf[off..end])
+        if self.buffers.len() as u64 + 1 >= ESCAPED >> 32 {
+            return Err(trap("buffer ids exhausted"));
+        }
+        self.buffers.push(vec![0u8; size as usize]);
+        Ok((self.buffers.len() as u64) << 32)
     }
 
-    fn slice(&self, ptr: u64, len: u64) -> Result<&[u8]> {
+    /// The buffer a pointer points into, and the checked byte range of a
+    /// `len`-byte access.
+    fn locate(&self, ptr: u64, len: u64) -> Result<(usize, usize, usize)> {
         let id = (ptr >> 32) as usize;
-        let off = (ptr & 0xFFFF_FFFF) as usize;
+        let off = (ptr & OFFSET_MASK) as usize;
         if id == 0 {
-            return Err(Error::Interp("null pointer dereference".into()));
+            return Err(trap("null pointer dereference"));
         }
         let buf = self
             .buffers
             .get(id - 1)
-            .ok_or_else(|| Error::Interp(format!("wild pointer {ptr:#x}")))?;
-        let end = off + len as usize;
+            .ok_or_else(|| trap(format!("wild pointer {ptr:#x}")))?;
+        let end = off
+            .checked_add(len as usize)
+            .ok_or_else(|| trap("pointer overflow"))?;
         if end > buf.len() {
-            return Err(Error::Interp(format!(
+            return Err(trap(format!(
                 "out-of-bounds access at offset {off}+{len} in buffer of {} bytes",
                 buf.len()
             )));
         }
-        Ok(&buf[off..end])
+        Ok((id - 1, off, end))
+    }
+
+    fn slice_mut(&mut self, ptr: u64, len: u64) -> Result<&mut [u8]> {
+        let (id, off, end) = self.locate(ptr, len)?;
+        Ok(&mut self.buffers[id][off..end])
+    }
+
+    fn slice(&self, ptr: u64, len: u64) -> Result<&[u8]> {
+        let (id, off, end) = self.locate(ptr, len)?;
+        Ok(&self.buffers[id][off..end])
+    }
+
+    fn array<const N: usize>(&self, ptr: u64) -> Result<[u8; N]> {
+        Ok(self.slice(ptr, N as u64)?.try_into().expect("N-byte slice"))
     }
 
     /// Typed store.
     pub fn store(&mut self, ptr: u64, ty: &Type, v: RtVal) -> Result<()> {
-        let size = ty.size_in_bytes();
-        match ty {
-            Type::Int(w) => {
-                let raw = v.as_i()? as u128;
-                let bytes = raw.to_le_bytes();
-                let n = ((*w).div_ceil(8) as usize).max(1);
-                self.slice_mut(ptr, size)?.copy_from_slice(&bytes[..n]);
+        match Scalar::of(ty) {
+            Some(kind) => self.store_scalar(ptr, kind, v),
+            None => Err(trap(format!("cannot store type {ty}"))),
+        }
+    }
+
+    fn store_scalar(&mut self, ptr: u64, kind: Scalar, v: RtVal) -> Result<()> {
+        match kind {
+            Scalar::Int { bytes, .. } => {
+                let raw = (v.as_i()? as u128).to_le_bytes();
+                let n = bytes as usize;
+                self.slice_mut(ptr, n as u64)?.copy_from_slice(&raw[..n]);
             }
-            Type::Float => {
+            Scalar::F32 => {
                 let bits = (v.as_f()? as f32).to_bits();
                 self.slice_mut(ptr, 4)?.copy_from_slice(&bits.to_le_bytes());
             }
-            Type::Double => {
+            Scalar::F64 => {
                 let bits = v.as_f()?.to_bits();
                 self.slice_mut(ptr, 8)?.copy_from_slice(&bits.to_le_bytes());
             }
-            Type::Ptr(_) => {
+            Scalar::Ptr => {
                 let raw = v.as_p()?;
                 self.slice_mut(ptr, 8)?.copy_from_slice(&raw.to_le_bytes());
             }
-            other => return Err(Error::Interp(format!("cannot store type {other}"))),
         }
         Ok(())
     }
 
     /// Typed load.
     pub fn load(&self, ptr: u64, ty: &Type) -> Result<RtVal> {
-        Ok(match ty {
-            Type::Int(w) => {
-                let n = ((*w).div_ceil(8) as usize).max(1);
-                let bytes = self.slice(ptr, n as u64)?;
+        match Scalar::of(ty) {
+            Some(kind) => self.load_scalar(ptr, kind),
+            None => Err(trap(format!("cannot load type {ty}"))),
+        }
+    }
+
+    fn load_scalar(&self, ptr: u64, kind: Scalar) -> Result<RtVal> {
+        Ok(match kind {
+            Scalar::Int { bytes, shift } => {
+                let n = bytes as usize;
                 let mut raw = [0u8; 16];
-                raw[..n].copy_from_slice(bytes);
-                let mut v = u128::from_le_bytes(raw) as i128;
-                // Sign extend from width w.
-                if *w < 128 {
-                    let shift = 128 - *w;
-                    v = (v << shift) >> shift;
-                }
-                RtVal::I(v)
+                raw[..n].copy_from_slice(self.slice(ptr, n as u64)?);
+                let v = u128::from_le_bytes(raw) as i128;
+                RtVal::I((v << shift) >> shift)
             }
-            Type::Float => {
-                let bytes = self.slice(ptr, 4)?;
-                RtVal::F(f32::from_le_bytes(bytes.try_into().unwrap()) as f64)
-            }
-            Type::Double => {
-                let bytes = self.slice(ptr, 8)?;
-                RtVal::F(f64::from_le_bytes(bytes.try_into().unwrap()))
-            }
-            Type::Ptr(_) => {
-                let bytes = self.slice(ptr, 8)?;
-                RtVal::P(u64::from_le_bytes(bytes.try_into().unwrap()))
-            }
-            other => return Err(Error::Interp(format!("cannot load type {other}"))),
+            Scalar::F32 => RtVal::F(f32::from_le_bytes(self.array(ptr)?) as f64),
+            Scalar::F64 => RtVal::F(f64::from_le_bytes(self.array(ptr)?)),
+            Scalar::Ptr => RtVal::P(u64::from_le_bytes(self.array(ptr)?)),
         })
     }
 
@@ -208,6 +331,630 @@ pub struct InterpStats {
     pub calls: u64,
 }
 
+// ---- decoded form ------------------------------------------------------
+
+/// Index of a value in a call frame.
+type Slot = u32;
+
+/// A function, decoded for execution.
+struct Code {
+    name: String,
+    params: usize,
+    /// The initial frame: constant slots filled, every other slot unset.
+    frame: Vec<Option<RtVal>>,
+    /// What each slot holds, for the message of an unset read.
+    slots: Vec<SlotKind>,
+    /// Indexed by [`BlockId`]; every arena block is decoded.
+    blocks: Vec<Block>,
+    entry: Option<BlockId>,
+    /// Non-phi ops the entry block runs before it reaches a phi, when it
+    /// has one: a first visit executes those ops, then traps.
+    entry_phi_at: Option<usize>,
+}
+
+enum SlotKind {
+    Arg(u32),
+    Inst(InstId),
+    Global(String),
+    Const,
+    /// Receives the results of instructions without a value.
+    Discard,
+}
+
+struct Block {
+    phis: Box<[Phi]>,
+    ops: Box<[Op]>,
+    term: Term,
+}
+
+/// A leading phi: its result slot and one `(predecessor, source)` pair per
+/// incoming edge.
+struct Phi {
+    id: InstId,
+    dst: Slot,
+    incoming: Box<[(BlockId, Slot)]>,
+}
+
+enum Op {
+    /// Integer binop (`op` is one of the integer binop opcodes); the
+    /// result wraps to `width` bits.
+    Int {
+        op: Opcode,
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        width: u32,
+    },
+    /// Float binop; `single` rounds the result to `f32`.
+    Float {
+        op: Opcode,
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        single: bool,
+    },
+    FNeg {
+        a: Slot,
+        dst: Slot,
+    },
+    ICmp {
+        pred: IntPred,
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+    },
+    FCmp {
+        pred: FloatPred,
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+    },
+    Load {
+        ptr: Slot,
+        dst: Slot,
+        kind: Scalar,
+    },
+    /// A load of a type that is not a first-class scalar.
+    BadLoad {
+        ptr: Slot,
+        ty: Box<str>,
+    },
+    Store {
+        val: Slot,
+        ptr: Slot,
+        kind: Scalar,
+    },
+    /// A store of a value whose type is not a first-class scalar.
+    BadStore {
+        val: Slot,
+        ptr: Slot,
+        ty: Box<str>,
+    },
+    Gep {
+        base: Slot,
+        dst: Slot,
+        steps: Box<[GepStep]>,
+    },
+    Alloca {
+        dst: Slot,
+        size: u64,
+    },
+    Call {
+        dst: Slot,
+        site: Box<CallSite>,
+    },
+    Select {
+        cond: Slot,
+        t: Slot,
+        f: Slot,
+        dst: Slot,
+    },
+    /// `zext` from an `iN` source: keeps the low `from` bits.
+    ZExt {
+        a: Slot,
+        dst: Slot,
+        from: u32,
+    },
+    /// `sext`: integers are stored sign-extended already.
+    SExt {
+        a: Slot,
+        dst: Slot,
+    },
+    Trunc {
+        a: Slot,
+        dst: Slot,
+        width: u32,
+    },
+    /// `fpext`/`fptrunc`; `single` rounds to `f32`.
+    FpCast {
+        a: Slot,
+        dst: Slot,
+        single: bool,
+    },
+    FpToSi {
+        a: Slot,
+        dst: Slot,
+    },
+    SiToFp {
+        a: Slot,
+        dst: Slot,
+        single: bool,
+    },
+    PtrToInt {
+        a: Slot,
+        dst: Slot,
+    },
+    IntToPtr {
+        a: Slot,
+        dst: Slot,
+    },
+    /// `bitcast`: the value passes through unchanged.
+    Copy {
+        a: Slot,
+        dst: Slot,
+    },
+    /// An instruction whose payload or operands do not match its opcode.
+    Trap(Box<str>),
+}
+
+/// One GEP index: the index slot and the byte stride it scales, or an
+/// index into a type that is not an array (a trap once the index is read).
+enum GepStep {
+    Scale(Slot, u64),
+    NonArray(Slot, Box<str>),
+}
+
+struct CallSite {
+    callee: Callee,
+    name: String,
+    args: Box<[Slot]>,
+}
+
+#[derive(Clone, Copy)]
+enum Callee {
+    Intrinsic(Intrinsic),
+    /// Index into `Module::functions`.
+    Defined(usize),
+    Declaration,
+    Unknown,
+}
+
+#[derive(Clone, Copy)]
+enum Intrinsic {
+    Sqrt,
+    Fabs,
+    Exp,
+    SMax,
+    SMin,
+    MaxNum,
+    MinNum,
+    Memcpy,
+    Memset,
+    Malloc,
+    /// `llvm.assume`, `llvm.lifetime.*` and `free`.
+    Nop,
+}
+
+impl Intrinsic {
+    fn of(name: &str) -> Option<Intrinsic> {
+        Some(match name {
+            "llvm.sqrt.f32" | "llvm.sqrt.f64" | "sqrtf" | "sqrt" => Intrinsic::Sqrt,
+            "llvm.fabs.f32" | "llvm.fabs.f64" | "fabsf" | "fabs" => Intrinsic::Fabs,
+            "llvm.exp.f32" | "llvm.exp.f64" | "expf" | "exp" => Intrinsic::Exp,
+            "llvm.smax.i32" | "llvm.smax.i64" => Intrinsic::SMax,
+            "llvm.smin.i32" | "llvm.smin.i64" => Intrinsic::SMin,
+            "llvm.maxnum.f32" | "llvm.maxnum.f64" | "fmaxf" => Intrinsic::MaxNum,
+            "llvm.minnum.f32" | "llvm.minnum.f64" | "fminf" => Intrinsic::MinNum,
+            "llvm.assume" | "free" => Intrinsic::Nop,
+            n if n.starts_with("llvm.lifetime.") => Intrinsic::Nop,
+            n if n.starts_with("llvm.memcpy.") => Intrinsic::Memcpy,
+            n if n.starts_with("llvm.memset.") => Intrinsic::Memset,
+            "malloc" => Intrinsic::Malloc,
+            _ => return None,
+        })
+    }
+
+    /// Arguments the intrinsic reads; extra ones are ignored.
+    fn arity(self) -> usize {
+        match self {
+            Intrinsic::Nop => 0,
+            Intrinsic::Sqrt | Intrinsic::Fabs | Intrinsic::Exp | Intrinsic::Malloc => 1,
+            Intrinsic::SMax | Intrinsic::SMin | Intrinsic::MaxNum | Intrinsic::MinNum => 2,
+            Intrinsic::Memcpy | Intrinsic::Memset => 3,
+        }
+    }
+}
+
+enum Term {
+    Br(BlockId),
+    CondBr {
+        cond: Slot,
+        t: BlockId,
+        f: BlockId,
+    },
+    Ret(Option<Slot>),
+    Unreachable,
+    /// The block ends without a terminator: execution re-enters it from
+    /// the same predecessor.
+    FallThrough,
+    /// A malformed terminator, or no terminator and nothing to execute
+    /// (re-entering would spin): traps on arrival.
+    Trap(Box<str>),
+}
+
+/// Resolve a callee name the way a call does: intrinsics first, then the
+/// module's functions.
+fn resolve(module: &Module, name: &str) -> Callee {
+    if let Some(k) = Intrinsic::of(name) {
+        return Callee::Intrinsic(k);
+    }
+    match module.functions.iter().position(|f| f.name == name) {
+        None => Callee::Unknown,
+        Some(i) if module.functions[i].is_declaration => Callee::Declaration,
+        Some(i) => Callee::Defined(i),
+    }
+}
+
+struct Decoder<'a> {
+    module: &'a Module,
+    f: &'a Function,
+    globals: &'a HashMap<String, u64>,
+    frame: Vec<Option<RtVal>>,
+    slots: Vec<SlotKind>,
+    /// The slot an `Inst` operand reads.
+    insts: HashMap<InstId, Slot>,
+    /// Slots of arguments past the parameter list and of unknown globals.
+    missing: HashMap<String, Slot>,
+    discard: Slot,
+}
+
+fn decode(module: &Module, f: &Function, globals: &HashMap<String, u64>) -> Code {
+    let mut d = Decoder {
+        module,
+        f,
+        globals,
+        frame: vec![None; f.params.len()],
+        slots: (0..f.params.len() as u32).map(SlotKind::Arg).collect(),
+        insts: HashMap::new(),
+        missing: HashMap::new(),
+        discard: 0,
+    };
+    d.discard = d.slot(None, SlotKind::Discard);
+    let blocks: Vec<Block> = (0..f.blocks.len()).map(|b| d.block(b as BlockId)).collect();
+    let entry = f.block_order.first().copied();
+    let entry_phi_at = entry.and_then(|e| d.first_phi(e));
+    Code {
+        name: f.name.clone(),
+        params: f.params.len(),
+        frame: d.frame,
+        slots: d.slots,
+        blocks,
+        entry,
+        entry_phi_at,
+    }
+}
+
+impl<'a> Decoder<'a> {
+    fn slot(&mut self, init: Option<RtVal>, kind: SlotKind) -> Slot {
+        self.frame.push(init);
+        self.slots.push(kind);
+        (self.frame.len() - 1) as Slot
+    }
+
+    fn inst_slot(&mut self, id: InstId) -> Slot {
+        if let Some(&s) = self.insts.get(&id) {
+            return s;
+        }
+        let s = self.slot(None, SlotKind::Inst(id));
+        self.insts.insert(id, s);
+        s
+    }
+
+    fn constant(&mut self, v: RtVal) -> Slot {
+        self.slot(Some(v), SlotKind::Const)
+    }
+
+    fn missing(&mut self, key: String, kind: SlotKind) -> Slot {
+        if let Some(&s) = self.missing.get(&key) {
+            return s;
+        }
+        let s = self.slot(None, kind);
+        self.missing.insert(key, s);
+        s
+    }
+
+    /// The slot an operand reads.
+    fn src(&mut self, v: &Value) -> Slot {
+        match v {
+            Value::Arg(i) if (*i as usize) < self.f.params.len() => *i,
+            Value::Arg(i) => self.missing(format!("%{i}"), SlotKind::Arg(*i)),
+            Value::Inst(id) => self.inst_slot(*id),
+            Value::ConstInt { value, .. } => self.constant(RtVal::I(*value)),
+            Value::ConstFloat { bits, .. } => self.constant(RtVal::F(f64::from_bits(*bits))),
+            Value::Global(name) => match self.globals.get(name) {
+                Some(&p) => self.constant(RtVal::P(p)),
+                None => self.missing(format!("@{name}"), SlotKind::Global(name.clone())),
+            },
+            Value::NullPtr(_) => self.constant(RtVal::P(0)),
+            Value::Undef(ty) => self.constant(match ty {
+                Type::Float | Type::Double => RtVal::F(0.0),
+                Type::Ptr(_) => RtVal::P(0),
+                _ => RtVal::I(0),
+            }),
+        }
+    }
+
+    /// The slot an instruction's result goes to.
+    fn dst(&mut self, id: InstId, inst: &Inst) -> Slot {
+        if inst.has_result() {
+            self.inst_slot(id)
+        } else {
+            self.discard
+        }
+    }
+
+    fn inst(&self, id: InstId) -> Option<&'a Inst> {
+        self.f.insts.get(id as usize)
+    }
+
+    /// The type of an operand, as the verifier sees it.
+    fn type_of(&self, v: &Value) -> Type {
+        match v {
+            Value::Arg(i) => self
+                .f
+                .params
+                .get(*i as usize)
+                .map_or(Type::Void, |p| p.ty.clone()),
+            Value::Inst(id) => self.inst(*id).map_or(Type::Void, |i| i.ty.clone()),
+            other => self.f.value_type(self.module, other),
+        }
+    }
+
+    /// Position, among the non-phi ops before the terminator, of the
+    /// first phi in `b`.
+    fn first_phi(&self, b: BlockId) -> Option<usize> {
+        let mut ops = 0;
+        for &id in &self.f.blocks[b as usize].insts {
+            match self.inst(id) {
+                Some(i) if i.opcode == Opcode::Phi => return Some(ops),
+                Some(i) if i.is_terminator() => return None,
+                _ => ops += 1,
+            }
+        }
+        None
+    }
+
+    fn block(&mut self, b: BlockId) -> Block {
+        let f = self.f;
+        let ids = &f.blocks[b as usize].insts;
+        let lead = ids
+            .iter()
+            .take_while(|&&id| self.inst(id).is_some_and(|i| i.opcode == Opcode::Phi))
+            .count();
+        let phis = ids[..lead].iter().map(|&id| self.phi(id)).collect();
+        let mut ops = Vec::new();
+        let mut term = None;
+        for &id in &ids[lead..] {
+            let Some(inst) = self.inst(id) else {
+                ops.push(Op::Trap(malformed(id, f).into()));
+                continue;
+            };
+            if inst.opcode == Opcode::Phi {
+                continue;
+            }
+            if inst.is_terminator() {
+                term = Some(self.term(id, inst));
+                break;
+            }
+            ops.push(self.op(id, inst));
+        }
+        let term = term.unwrap_or_else(|| {
+            if ops.is_empty() {
+                let label = &f.blocks[b as usize].name;
+                Term::Trap(format!("block {label} of @{} has no terminator", f.name).into())
+            } else {
+                Term::FallThrough
+            }
+        });
+        Block {
+            phis,
+            ops: ops.into(),
+            term,
+        }
+    }
+
+    fn phi(&mut self, id: InstId) -> Phi {
+        let f = self.f;
+        let inst = &f.insts[id as usize];
+        let incoming = match &inst.data {
+            InstData::Phi { incoming } => incoming
+                .iter()
+                .zip(&inst.operands)
+                .map(|(&from, v)| (from, self.src(v)))
+                .collect(),
+            _ => Box::default(),
+        };
+        Phi {
+            id,
+            dst: self.inst_slot(id),
+            incoming,
+        }
+    }
+
+    fn term(&mut self, id: InstId, inst: &Inst) -> Term {
+        let blocks = self.f.blocks.len();
+        let valid = |b: &BlockId| (*b as usize) < blocks;
+        match (&inst.opcode, &inst.data, inst.operands.first()) {
+            (Opcode::Br, InstData::Br { dest }, _) if valid(dest) => Term::Br(*dest),
+            (Opcode::CondBr, InstData::CondBr { on_true, on_false }, Some(c))
+                if valid(on_true) && valid(on_false) =>
+            {
+                Term::CondBr {
+                    cond: self.src(c),
+                    t: *on_true,
+                    f: *on_false,
+                }
+            }
+            (Opcode::Ret, _, v) => Term::Ret(v.map(|v| self.src(v))),
+            (Opcode::Unreachable, _, _) => Term::Unreachable,
+            _ => Term::Trap(malformed(id, self.f).into()),
+        }
+    }
+
+    fn op(&mut self, id: InstId, inst: &Inst) -> Op {
+        let n = inst.operands.len();
+        let dst = self.dst(id, inst);
+        let ops = &inst.operands;
+        let single = inst.ty == Type::Float;
+        match (inst.opcode, &inst.data) {
+            (op, _) if op.is_int_binop() && n >= 2 => Op::Int {
+                op,
+                a: self.src(&ops[0]),
+                b: self.src(&ops[1]),
+                dst,
+                width: inst.ty.int_width().unwrap_or(64),
+            },
+            (op, _) if op.is_float_binop() && n >= 2 => Op::Float {
+                op,
+                a: self.src(&ops[0]),
+                b: self.src(&ops[1]),
+                dst,
+                single,
+            },
+            (Opcode::ICmp, InstData::ICmp(pred)) if n >= 2 => Op::ICmp {
+                pred: *pred,
+                a: self.src(&ops[0]),
+                b: self.src(&ops[1]),
+                dst,
+            },
+            (Opcode::FCmp, InstData::FCmp(pred)) if n >= 2 => Op::FCmp {
+                pred: *pred,
+                a: self.src(&ops[0]),
+                b: self.src(&ops[1]),
+                dst,
+            },
+            (Opcode::Load, _) if n >= 1 => {
+                let ptr = self.src(&ops[0]);
+                match Scalar::of(&inst.ty) {
+                    Some(kind) => Op::Load { ptr, dst, kind },
+                    None => Op::BadLoad {
+                        ptr,
+                        ty: inst.ty.to_string().into(),
+                    },
+                }
+            }
+            (Opcode::Store, _) if n >= 2 => {
+                let (val, ptr) = (self.src(&ops[0]), self.src(&ops[1]));
+                let ty = self.type_of(&ops[0]);
+                match Scalar::of(&ty) {
+                    Some(kind) => Op::Store { val, ptr, kind },
+                    None => Op::BadStore {
+                        val,
+                        ptr,
+                        ty: ty.to_string().into(),
+                    },
+                }
+            }
+            (Opcode::Gep, InstData::Gep { base_ty, .. }) if n >= 1 => {
+                let base = self.src(&ops[0]);
+                let mut steps = Vec::with_capacity(n - 1);
+                let mut ty = base_ty;
+                for (k, idx) in ops[1..].iter().enumerate() {
+                    let idx = self.src(idx);
+                    if k > 0 {
+                        match ty {
+                            Type::Array(_, e) => ty = &**e,
+                            other => {
+                                steps.push(GepStep::NonArray(idx, other.to_string().into()));
+                                break;
+                            }
+                        }
+                    }
+                    steps.push(GepStep::Scale(idx, ty.size_in_bytes()));
+                }
+                Op::Gep {
+                    base,
+                    dst,
+                    steps: steps.into(),
+                }
+            }
+            (Opcode::Alloca, InstData::Alloca { allocated, .. }) => Op::Alloca {
+                dst,
+                size: allocated.size_in_bytes(),
+            },
+            (Opcode::Call, InstData::Call { callee }) => Op::Call {
+                dst,
+                site: Box::new(CallSite {
+                    callee: resolve(self.module, callee),
+                    name: callee.clone(),
+                    args: ops.iter().map(|v| self.src(v)).collect(),
+                }),
+            },
+            (Opcode::Select, _) if n >= 3 => Op::Select {
+                cond: self.src(&ops[0]),
+                t: self.src(&ops[1]),
+                f: self.src(&ops[2]),
+                dst,
+            },
+            (op, _) if op.is_cast() && n >= 1 => {
+                let a = self.src(&ops[0]);
+                match op {
+                    Opcode::ZExt => Op::ZExt {
+                        a,
+                        dst,
+                        from: self.type_of(&ops[0]).int_width().unwrap_or(64),
+                    },
+                    Opcode::SExt => Op::SExt { a, dst },
+                    Opcode::Trunc => Op::Trunc {
+                        a,
+                        dst,
+                        width: inst.ty.int_width().unwrap_or(64),
+                    },
+                    Opcode::FPExt | Opcode::FPTrunc => Op::FpCast { a, dst, single },
+                    Opcode::FPToSI => Op::FpToSi { a, dst },
+                    Opcode::SIToFP => Op::SiToFp { a, dst, single },
+                    Opcode::PtrToInt => Op::PtrToInt { a, dst },
+                    Opcode::IntToPtr => Op::IntToPtr { a, dst },
+                    _ => Op::Copy { a, dst },
+                }
+            }
+            (Opcode::FNeg, _) if n >= 1 => Op::FNeg {
+                a: self.src(&ops[0]),
+                dst,
+            },
+            _ => Op::Trap(malformed(id, self.f).into()),
+        }
+    }
+}
+
+fn malformed(id: InstId, f: &Function) -> String {
+    format!("malformed instruction %{id} in @{}", f.name)
+}
+
+impl Code {
+    #[inline]
+    fn read(&self, frame: &[Option<RtVal>], s: Slot) -> Result<RtVal> {
+        match frame[s as usize] {
+            Some(v) => Ok(v),
+            None => Err(self.unset(s)),
+        }
+    }
+
+    #[cold]
+    fn unset(&self, s: Slot) -> Error {
+        trap(match &self.slots[s as usize] {
+            SlotKind::Global(name) => format!("unknown global @{name}"),
+            SlotKind::Inst(id) => format!("read of unset %{id} in @{}", self.name),
+            SlotKind::Arg(i) => format!("read of missing argument {i} in @{}", self.name),
+            SlotKind::Const | SlotKind::Discard => {
+                unreachable!("constant and discard slots are never read unset")
+            }
+        })
+    }
+}
+
+// ---- execution ---------------------------------------------------------
+
 /// The interpreter: owns memory and global bindings for one module.
 pub struct Interpreter<'m> {
     module: &'m Module,
@@ -219,6 +966,9 @@ pub struct Interpreter<'m> {
     pub step_limit: u64,
     /// Counters.
     pub stats: InterpStats,
+    /// Decoded functions, parallel to `module.functions`, each filled on
+    /// its first call.
+    code: Vec<OnceLock<Code>>,
 }
 
 impl<'m> Interpreter<'m> {
@@ -239,52 +989,82 @@ impl<'m> Interpreter<'m> {
             globals,
             step_limit: 500_000_000,
             stats: InterpStats::default(),
+            code: module.functions.iter().map(|_| OnceLock::new()).collect(),
         }
     }
 
     /// Call a function by name.
     pub fn call(&mut self, name: &str, args: &[RtVal]) -> Result<RtVal> {
+        let callee = resolve(self.module, name);
+        let mut exec = Exec {
+            module: self.module,
+            globals: &self.globals,
+            code: &self.code,
+            mem: &mut self.mem,
+            stats: self.stats.clone(),
+            step_limit: self.step_limit,
+            phi_vals: Vec::new(),
+        };
+        let result = exec.invoke(callee, name, args);
+        self.stats = exec.stats;
+        result
+    }
+}
+
+/// One [`Interpreter::call`] in progress: the interpreter's state, split
+/// so decoded code can be borrowed while memory and counters change.
+struct Exec<'a> {
+    module: &'a Module,
+    globals: &'a HashMap<String, u64>,
+    code: &'a [OnceLock<Code>],
+    mem: &'a mut Memory,
+    /// Held by value while the call runs; written back when it returns.
+    stats: InterpStats,
+    step_limit: u64,
+    /// Scratch for parallel phi evaluation.
+    phi_vals: Vec<RtVal>,
+}
+
+impl<'a> Exec<'a> {
+    fn invoke(&mut self, callee: Callee, name: &str, args: &[RtVal]) -> Result<RtVal> {
         self.stats.calls += 1;
-        if let Some(v) = self.try_intrinsic(name, args)? {
-            return Ok(v);
+        match callee {
+            Callee::Intrinsic(k) => self.intrinsic(k, name, args),
+            Callee::Unknown => Err(trap(format!("unknown function @{name}"))),
+            Callee::Declaration => Err(trap(format!("call to body-less declaration @{name}"))),
+            Callee::Defined(i) => {
+                let (module, globals, cells) = (self.module, self.globals, self.code);
+                let code = cells[i].get_or_init(|| decode(module, &module.functions[i], globals));
+                if args.len() != code.params {
+                    return Err(trap(format!(
+                        "@{name} called with {} args, expects {}",
+                        args.len(),
+                        code.params
+                    )));
+                }
+                self.run(code, args)
+            }
         }
-        let f = self
-            .module
-            .function(name)
-            .ok_or_else(|| Error::Interp(format!("unknown function @{name}")))?;
-        if f.is_declaration {
-            return Err(Error::Interp(format!(
-                "call to body-less declaration @{name}"
-            )));
-        }
-        if args.len() != f.params.len() {
-            return Err(Error::Interp(format!(
-                "@{name} called with {} args, expects {}",
-                args.len(),
-                f.params.len()
-            )));
-        }
-        self.run_function(f, args)
     }
 
-    fn try_intrinsic(&mut self, name: &str, args: &[RtVal]) -> Result<Option<RtVal>> {
-        let v = match name {
-            "llvm.sqrt.f32" | "llvm.sqrt.f64" | "sqrtf" | "sqrt" => {
-                RtVal::F(args[0].as_f()?.sqrt())
-            }
-            "llvm.fabs.f32" | "llvm.fabs.f64" | "fabsf" | "fabs" => RtVal::F(args[0].as_f()?.abs()),
-            "llvm.exp.f32" | "llvm.exp.f64" | "expf" | "exp" => RtVal::F(args[0].as_f()?.exp()),
-            "llvm.smax.i32" | "llvm.smax.i64" => RtVal::I(args[0].as_i()?.max(args[1].as_i()?)),
-            "llvm.smin.i32" | "llvm.smin.i64" => RtVal::I(args[0].as_i()?.min(args[1].as_i()?)),
-            "llvm.maxnum.f32" | "llvm.maxnum.f64" | "fmaxf" => {
-                RtVal::F(args[0].as_f()?.max(args[1].as_f()?))
-            }
-            "llvm.minnum.f32" | "llvm.minnum.f64" | "fminf" => {
-                RtVal::F(args[0].as_f()?.min(args[1].as_f()?))
-            }
-            "llvm.assume" => RtVal::Unit,
-            n if n.starts_with("llvm.lifetime.") => RtVal::Unit,
-            n if n.starts_with("llvm.memcpy.") => {
+    fn intrinsic(&mut self, k: Intrinsic, name: &str, args: &[RtVal]) -> Result<RtVal> {
+        if args.len() < k.arity() {
+            return Err(trap(format!(
+                "@{name} called with {} args, expects {}",
+                args.len(),
+                k.arity()
+            )));
+        }
+        Ok(match k {
+            Intrinsic::Sqrt => RtVal::F(args[0].as_f()?.sqrt()),
+            Intrinsic::Fabs => RtVal::F(args[0].as_f()?.abs()),
+            Intrinsic::Exp => RtVal::F(args[0].as_f()?.exp()),
+            Intrinsic::SMax => RtVal::I(args[0].as_i()?.max(args[1].as_i()?)),
+            Intrinsic::SMin => RtVal::I(args[0].as_i()?.min(args[1].as_i()?)),
+            Intrinsic::MaxNum => RtVal::F(args[0].as_f()?.max(args[1].as_f()?)),
+            Intrinsic::MinNum => RtVal::F(args[0].as_f()?.min(args[1].as_f()?)),
+            Intrinsic::Nop => RtVal::Unit,
+            Intrinsic::Memcpy => {
                 let dst = args[0].as_p()?;
                 let src = args[1].as_p()?;
                 let len = args[2].as_i()? as u64;
@@ -292,346 +1072,277 @@ impl<'m> Interpreter<'m> {
                 self.mem.slice_mut(dst, len)?.copy_from_slice(&data);
                 RtVal::Unit
             }
-            n if n.starts_with("llvm.memset.") => {
+            Intrinsic::Memset => {
                 let dst = args[0].as_p()?;
                 let byte = args[1].as_i()? as u8;
                 let len = args[2].as_i()? as u64;
                 self.mem.slice_mut(dst, len)?.fill(byte);
                 RtVal::Unit
             }
-            "malloc" => {
+            Intrinsic::Malloc => {
                 let size = args[0].as_i()? as u64;
-                RtVal::P(self.mem.alloc(size))
+                RtVal::P(self.mem.try_alloc("malloc", size)?)
             }
-            "free" => RtVal::Unit,
-            _ => return Ok(None),
-        };
-        Ok(Some(v))
-    }
-
-    fn eval(&self, f: &Function, env: &HashMap<u32, RtVal>, v: &Value) -> Result<RtVal> {
-        Ok(match v {
-            Value::Arg(i) => env[&(u32::MAX - *i)],
-            Value::Inst(id) => *env
-                .get(id)
-                .ok_or_else(|| Error::Interp(format!("read of unset %{id} in @{}", f.name)))?,
-            Value::ConstInt { value, .. } => RtVal::I(*value),
-            Value::ConstFloat { bits, .. } => RtVal::F(f64::from_bits(*bits)),
-            Value::Global(name) => RtVal::P(
-                *self
-                    .globals
-                    .get(name)
-                    .ok_or_else(|| Error::Interp(format!("unknown global @{name}")))?,
-            ),
-            Value::NullPtr(_) => RtVal::P(0),
-            Value::Undef(ty) => match ty {
-                Type::Float | Type::Double => RtVal::F(0.0),
-                Type::Ptr(_) => RtVal::P(0),
-                _ => RtVal::I(0),
-            },
         })
     }
 
-    fn run_function(&mut self, f: &Function, args: &[RtVal]) -> Result<RtVal> {
-        // Args live in the same env map keyed from the top of the id space.
-        let mut env: HashMap<u32, RtVal> = HashMap::new();
-        for (i, a) in args.iter().enumerate() {
-            env.insert(u32::MAX - i as u32, *a);
+    #[inline]
+    fn tick(&mut self) -> Result<()> {
+        self.stats.steps += 1;
+        if self.stats.steps > self.step_limit {
+            return Err(trap("step limit exceeded"));
         }
-        let mut block = f.entry();
+        Ok(())
+    }
+
+    fn run(&mut self, code: &Code, args: &[RtVal]) -> Result<RtVal> {
+        let Some(entry) = code.entry else {
+            return Err(trap(format!("@{} has no blocks", code.name)));
+        };
+        let mut frame = code.frame.clone();
+        for (slot, a) in frame.iter_mut().zip(args) {
+            *slot = Some(*a);
+        }
+        if let Some(k) = code.entry_phi_at {
+            for op in &code.blocks[entry as usize].ops[..k] {
+                self.tick()?;
+                self.exec(code, op, &mut frame)?;
+            }
+            return Err(trap("phi in entry block"));
+        }
+        let mut block = entry;
         let mut prev: Option<BlockId> = None;
         loop {
-            // Parallel phi evaluation at block entry.
+            let b = &code.blocks[block as usize];
             if let Some(p) = prev {
-                let mut phi_vals: Vec<(u32, RtVal)> = Vec::new();
-                for &id in &f.blocks[block as usize].insts {
-                    let inst = f.inst(id);
-                    let InstData::Phi { incoming } = &inst.data else {
-                        break;
-                    };
-                    let pos = incoming.iter().position(|&b| b == p).ok_or_else(|| {
-                        Error::Interp(format!("phi %{id} has no edge from block {p}"))
-                    })?;
-                    phi_vals.push((id, self.eval(f, &env, &inst.operands[pos])?));
-                }
-                for (id, v) in phi_vals {
-                    env.insert(id, v);
+                if !b.phis.is_empty() {
+                    self.enter(code, b, p, &mut frame)?;
                 }
             }
-            // Straight-line execution.
-            let insts = f.blocks[block as usize].insts.clone();
-            for id in insts {
-                let inst = f.inst(id);
-                if inst.opcode == Opcode::Phi {
-                    if prev.is_none() {
-                        return Err(Error::Interp("phi in entry block".into()));
-                    }
-                    continue;
-                }
-                self.stats.steps += 1;
-                if self.stats.steps > self.step_limit {
-                    return Err(Error::Interp("step limit exceeded".into()));
-                }
-                match inst.opcode {
-                    Opcode::Br => {
-                        let InstData::Br { dest } = inst.data else {
-                            unreachable!()
-                        };
-                        prev = Some(block);
-                        block = dest;
-                        break;
-                    }
-                    Opcode::CondBr => {
-                        let InstData::CondBr { on_true, on_false } = inst.data else {
-                            unreachable!()
-                        };
-                        let c = self.eval(f, &env, &inst.operands[0])?.as_i()?;
-                        prev = Some(block);
-                        block = if c != 0 { on_true } else { on_false };
-                        break;
-                    }
-                    Opcode::Ret => {
-                        return match inst.operands.first() {
-                            None => Ok(RtVal::Unit),
-                            Some(v) => self.eval(f, &env, v),
-                        };
-                    }
-                    Opcode::Unreachable => {
-                        return Err(Error::Interp("executed unreachable".into()))
-                    }
-                    _ => {
-                        let v = self.exec_inst(f, &env, id)?;
-                        if f.inst(id).has_result() {
-                            env.insert(id, v);
-                        }
-                    }
-                }
+            for op in b.ops.iter() {
+                self.tick()?;
+                self.exec(code, op, &mut frame)?;
             }
+            let next = match &b.term {
+                Term::Br(t) => {
+                    self.tick()?;
+                    *t
+                }
+                Term::CondBr { cond, t, f } => {
+                    self.tick()?;
+                    if code.read(&frame, *cond)?.as_i()? != 0 {
+                        *t
+                    } else {
+                        *f
+                    }
+                }
+                Term::Ret(v) => {
+                    self.tick()?;
+                    return v.map_or(Ok(RtVal::Unit), |v| code.read(&frame, v));
+                }
+                Term::Unreachable => {
+                    self.tick()?;
+                    return Err(trap("executed unreachable"));
+                }
+                Term::FallThrough => continue,
+                Term::Trap(msg) => return Err(trap(&**msg)),
+            };
+            prev = Some(block);
+            block = next;
         }
     }
 
-    fn exec_inst(&mut self, f: &Function, env: &HashMap<u32, RtVal>, id: u32) -> Result<RtVal> {
-        let inst = f.inst(id);
-        let ev = |s: &Self, i: usize| s.eval(f, env, &inst.operands[i]);
-        let wrap_to = |ty: &Type, v: i128| -> i128 {
-            let w = ty.int_width().unwrap_or(64);
-            if w >= 128 {
-                return v;
-            }
-            let m = 1i128 << w;
-            let r = v.rem_euclid(m);
-            if r >= m / 2 {
-                r - m
-            } else {
-                r
-            }
-        };
-        Ok(match inst.opcode {
-            op if op.is_int_binop() => {
-                let a = ev(self, 0)?.as_i()?;
-                let b = ev(self, 1)?.as_i()?;
+    /// Evaluate `b`'s leading phis in parallel for the edge from `prev`.
+    fn enter(
+        &mut self,
+        code: &Code,
+        b: &Block,
+        prev: BlockId,
+        frame: &mut [Option<RtVal>],
+    ) -> Result<()> {
+        self.phi_vals.clear();
+        for phi in b.phis.iter() {
+            let &(_, src) = phi
+                .incoming
+                .iter()
+                .find(|(from, _)| *from == prev)
+                .ok_or_else(|| trap(format!("phi %{} has no edge from block {prev}", phi.id)))?;
+            self.phi_vals.push(code.read(frame, src)?);
+        }
+        for (phi, v) in b.phis.iter().zip(&self.phi_vals) {
+            frame[phi.dst as usize] = Some(*v);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn exec(&mut self, code: &Code, op: &Op, frame: &mut [Option<RtVal>]) -> Result<()> {
+        let get = |s: Slot| code.read(frame, s);
+        let (dst, v) = match *op {
+            Op::Int {
+                op,
+                a,
+                b,
+                dst,
+                width,
+            } => {
+                let x = get(a)?.as_i()?;
+                let y = get(b)?.as_i()?;
                 let r = match op {
-                    Opcode::Add => a.wrapping_add(b),
-                    Opcode::Sub => a.wrapping_sub(b),
-                    Opcode::Mul => a.wrapping_mul(b),
-                    Opcode::SDiv => {
-                        if b == 0 {
-                            return Err(Error::Interp("sdiv by zero".into()));
-                        }
-                        a.wrapping_div(b)
+                    Opcode::Add => x.wrapping_add(y),
+                    Opcode::Sub => x.wrapping_sub(y),
+                    Opcode::Mul => x.wrapping_mul(y),
+                    Opcode::SDiv | Opcode::SRem | Opcode::UDiv | Opcode::URem if y == 0 => {
+                        return Err(trap(format!("{} by zero", op.mnemonic())))
                     }
-                    Opcode::SRem => {
-                        if b == 0 {
-                            return Err(Error::Interp("srem by zero".into()));
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    Opcode::UDiv => {
-                        if b == 0 {
-                            return Err(Error::Interp("udiv by zero".into()));
-                        }
-                        ((a as u128) / (b as u128)) as i128
-                    }
-                    Opcode::URem => {
-                        if b == 0 {
-                            return Err(Error::Interp("urem by zero".into()));
-                        }
-                        ((a as u128) % (b as u128)) as i128
-                    }
-                    Opcode::And => a & b,
-                    Opcode::Or => a | b,
-                    Opcode::Xor => a ^ b,
-                    Opcode::Shl => a.wrapping_shl(b as u32),
-                    Opcode::LShr => ((a as u128) >> (b as u32)) as i128,
-                    Opcode::AShr => a >> (b as u32),
-                    _ => unreachable!(),
+                    Opcode::SDiv => x.wrapping_div(y),
+                    Opcode::SRem => x.wrapping_rem(y),
+                    Opcode::UDiv => ((x as u128) / (y as u128)) as i128,
+                    Opcode::URem => ((x as u128) % (y as u128)) as i128,
+                    Opcode::And => x & y,
+                    Opcode::Or => x | y,
+                    Opcode::Xor => x ^ y,
+                    Opcode::Shl => x.wrapping_shl(y as u32),
+                    Opcode::LShr => (x as u128).wrapping_shr(y as u32) as i128,
+                    Opcode::AShr => x.wrapping_shr(y as u32),
+                    _ => unreachable!("decoded as an integer binop"),
                 };
-                RtVal::I(wrap_to(&inst.ty, r))
+                (dst, RtVal::I(wrap(r, width)))
             }
-            op if op.is_float_binop() => {
-                let a = ev(self, 0)?.as_f()?;
-                let b = ev(self, 1)?.as_f()?;
+            Op::Float {
+                op,
+                a,
+                b,
+                dst,
+                single,
+            } => {
+                let x = get(a)?.as_f()?;
+                let y = get(b)?.as_f()?;
                 let r = match op {
-                    Opcode::FAdd => a + b,
-                    Opcode::FSub => a - b,
-                    Opcode::FMul => a * b,
-                    Opcode::FDiv => a / b,
-                    Opcode::FRem => a % b,
-                    _ => unreachable!(),
+                    Opcode::FAdd => x + y,
+                    Opcode::FSub => x - y,
+                    Opcode::FMul => x * y,
+                    Opcode::FDiv => x / y,
+                    Opcode::FRem => x % y,
+                    _ => unreachable!("decoded as a float binop"),
                 };
-                // Emulate single precision where the type says so.
-                if inst.ty == Type::Float {
-                    RtVal::F((r as f32) as f64)
-                } else {
-                    RtVal::F(r)
-                }
+                (dst, RtVal::F(round(r, single)))
             }
-            Opcode::FNeg => RtVal::F(-ev(self, 0)?.as_f()?),
-            Opcode::ICmp => {
-                let InstData::ICmp(pred) = &inst.data else {
-                    unreachable!()
-                };
-                let (av, bv) = (ev(self, 0)?, ev(self, 1)?);
-                let (a, b) = match (av, bv) {
-                    (RtVal::P(a), RtVal::P(b)) => (a as i128, b as i128),
+            Op::FNeg { a, dst } => (dst, RtVal::F(-get(a)?.as_f()?)),
+            Op::ICmp { pred, a, b, dst } => {
+                let (av, bv) = (get(a)?, get(b)?);
+                let (x, y) = match (av, bv) {
+                    (RtVal::P(x), RtVal::P(y)) => (x as i128, y as i128),
                     _ => (av.as_i()?, bv.as_i()?),
                 };
                 let r = match pred {
-                    IntPred::Eq => a == b,
-                    IntPred::Ne => a != b,
-                    IntPred::Slt => a < b,
-                    IntPred::Sle => a <= b,
-                    IntPred::Sgt => a > b,
-                    IntPred::Sge => a >= b,
-                    IntPred::Ult => (a as u128) < (b as u128),
-                    IntPred::Ule => (a as u128) <= (b as u128),
-                    IntPred::Ugt => (a as u128) > (b as u128),
-                    IntPred::Uge => (a as u128) >= (b as u128),
+                    IntPred::Eq => x == y,
+                    IntPred::Ne => x != y,
+                    IntPred::Slt => x < y,
+                    IntPred::Sle => x <= y,
+                    IntPred::Sgt => x > y,
+                    IntPred::Sge => x >= y,
+                    IntPred::Ult => (x as u128) < (y as u128),
+                    IntPred::Ule => (x as u128) <= (y as u128),
+                    IntPred::Ugt => (x as u128) > (y as u128),
+                    IntPred::Uge => (x as u128) >= (y as u128),
                 };
-                RtVal::I(i128::from(r))
+                (dst, RtVal::I(i128::from(r)))
             }
-            Opcode::FCmp => {
-                let InstData::FCmp(pred) = &inst.data else {
-                    unreachable!()
-                };
-                let a = ev(self, 0)?.as_f()?;
-                let b = ev(self, 1)?.as_f()?;
+            Op::FCmp { pred, a, b, dst } => {
+                let x = get(a)?.as_f()?;
+                let y = get(b)?.as_f()?;
                 let r = match pred {
-                    FloatPred::Oeq => a == b,
-                    FloatPred::One => a != b && !a.is_nan() && !b.is_nan(),
-                    FloatPred::Olt => a < b,
-                    FloatPred::Ole => a <= b,
-                    FloatPred::Ogt => a > b,
-                    FloatPred::Oge => a >= b,
-                    FloatPred::Une => a != b,
-                    FloatPred::Ord => !a.is_nan() && !b.is_nan(),
-                    FloatPred::Uno => a.is_nan() || b.is_nan(),
+                    FloatPred::Oeq => x == y,
+                    FloatPred::One => x != y && !x.is_nan() && !y.is_nan(),
+                    FloatPred::Olt => x < y,
+                    FloatPred::Ole => x <= y,
+                    FloatPred::Ogt => x > y,
+                    FloatPred::Oge => x >= y,
+                    FloatPred::Une => x != y,
+                    FloatPred::Ord => !x.is_nan() && !y.is_nan(),
+                    FloatPred::Uno => x.is_nan() || y.is_nan(),
                 };
-                RtVal::I(i128::from(r))
+                (dst, RtVal::I(i128::from(r)))
             }
-            Opcode::Load => {
-                let p = ev(self, 0)?.as_p()?;
-                self.mem.load(p, &inst.ty)?
+            Op::Load { ptr, dst, kind } => {
+                let p = get(ptr)?.as_p()?;
+                (dst, self.mem.load_scalar(p, kind)?)
             }
-            Opcode::Store => {
-                let v = ev(self, 0)?;
-                let p = ev(self, 1)?.as_p()?;
-                let vty = f.value_type(self.module, &inst.operands[0]);
-                self.mem.store(p, &vty, v)?;
-                RtVal::Unit
+            Op::BadLoad { ptr, ref ty } => {
+                get(ptr)?.as_p()?;
+                return Err(trap(format!("cannot load type {ty}")));
             }
-            Opcode::Gep => {
-                let InstData::Gep { base_ty, .. } = &inst.data else {
-                    unreachable!()
-                };
-                let mut p = ev(self, 0)?.as_p()?;
-                let mut ty = base_ty.clone();
-                for (k, idx) in inst.operands[1..].iter().enumerate() {
-                    let i = self.eval(f, env, idx)?.as_i()?;
-                    if k == 0 {
-                        p = p.wrapping_add((i as i64 as u64).wrapping_mul(ty.size_in_bytes()));
-                    } else {
-                        match ty {
-                            Type::Array(_, e) => {
-                                ty = (*e).clone();
-                                p = p.wrapping_add(
-                                    (i as i64 as u64).wrapping_mul(ty.size_in_bytes()),
-                                );
-                            }
-                            other => {
-                                return Err(Error::Interp(format!(
-                                    "gep steps into non-array {other}"
-                                )))
-                            }
+            Op::Store { val, ptr, kind } => {
+                let v = get(val)?;
+                let p = get(ptr)?.as_p()?;
+                return self.mem.store_scalar(p, kind, v);
+            }
+            Op::BadStore { val, ptr, ref ty } => {
+                get(val)?;
+                get(ptr)?.as_p()?;
+                return Err(trap(format!("cannot store type {ty}")));
+            }
+            Op::Gep {
+                base,
+                dst,
+                ref steps,
+            } => {
+                let p = get(base)?.as_p()?;
+                let mut delta: i128 = 0;
+                for step in steps.iter() {
+                    match *step {
+                        GepStep::Scale(idx, stride) => {
+                            let i = get(idx)?.as_i()? as i64;
+                            delta = delta.saturating_add(i128::from(i) * i128::from(stride));
+                        }
+                        GepStep::NonArray(idx, ref ty) => {
+                            get(idx)?.as_i()?;
+                            return Err(trap(format!("gep steps into non-array {ty}")));
                         }
                     }
                 }
-                RtVal::P(p)
+                (dst, RtVal::P(offset_ptr(p, delta)))
             }
-            Opcode::Alloca => {
-                let InstData::Alloca { allocated, .. } = &inst.data else {
-                    unreachable!()
-                };
-                RtVal::P(self.mem.alloc(allocated.size_in_bytes()))
+            Op::Alloca { dst, size } => (dst, RtVal::P(self.mem.try_alloc("alloca", size)?)),
+            Op::Call { dst, ref site } => {
+                let args = site
+                    .args
+                    .iter()
+                    .map(|&s| get(s))
+                    .collect::<Result<Vec<_>>>()?;
+                (dst, self.invoke(site.callee, &site.name, &args)?)
             }
-            Opcode::Call => {
-                let InstData::Call { callee } = &inst.data else {
-                    unreachable!()
-                };
-                let args: Vec<RtVal> = (0..inst.operands.len())
-                    .map(|i| ev(self, i))
-                    .collect::<Result<_>>()?;
-                let callee = callee.clone();
-                self.call(&callee, &args)?
+            Op::Select { cond, t, f, dst } => {
+                let c = get(cond)?.as_i()?;
+                (dst, get(if c != 0 { t } else { f })?)
             }
-            Opcode::Select => {
-                let c = ev(self, 0)?.as_i()?;
-                if c != 0 {
-                    ev(self, 1)?
-                } else {
-                    ev(self, 2)?
-                }
+            Op::ZExt { a, dst, from } => {
+                let mask = if from >= 128 { -1 } else { (1i128 << from) - 1 };
+                (dst, RtVal::I(get(a)?.as_i()? & mask))
             }
-            Opcode::ZExt => {
-                let v = ev(self, 0)?.as_i()?;
-                let from_w = f
-                    .value_type(self.module, &inst.operands[0])
-                    .int_width()
-                    .unwrap_or(64);
-                let mask = if from_w >= 128 {
-                    -1i128
-                } else {
-                    (1i128 << from_w) - 1
-                };
-                RtVal::I(v & mask)
-            }
-            Opcode::SExt => RtVal::I(ev(self, 0)?.as_i()?),
-            Opcode::Trunc => {
-                let v = ev(self, 0)?.as_i()?;
-                RtVal::I(wrap_to(&inst.ty, v))
-            }
-            Opcode::FPExt | Opcode::FPTrunc => {
-                let v = ev(self, 0)?.as_f()?;
-                if inst.ty == Type::Float {
-                    RtVal::F((v as f32) as f64)
-                } else {
-                    RtVal::F(v)
-                }
-            }
-            Opcode::FPToSI => RtVal::I(ev(self, 0)?.as_f()? as i128),
-            Opcode::SIToFP => {
-                let v = ev(self, 0)?.as_i()? as f64;
-                if inst.ty == Type::Float {
-                    RtVal::F((v as f32) as f64)
-                } else {
-                    RtVal::F(v)
-                }
-            }
-            Opcode::PtrToInt => RtVal::I(ev(self, 0)?.as_p()? as i128),
-            Opcode::IntToPtr => RtVal::P(ev(self, 0)?.as_i()? as u64),
-            Opcode::BitCast => ev(self, 0)?,
-            op => return Err(Error::Interp(format!("cannot execute {op:?} here"))),
-        })
+            Op::SExt { a, dst } => (dst, RtVal::I(get(a)?.as_i()?)),
+            Op::Trunc { a, dst, width } => (dst, RtVal::I(wrap(get(a)?.as_i()?, width))),
+            Op::FpCast { a, dst, single } => (dst, RtVal::F(round(get(a)?.as_f()?, single))),
+            Op::FpToSi { a, dst } => (dst, RtVal::I(get(a)?.as_f()? as i128)),
+            Op::SiToFp { a, dst, single } => (dst, RtVal::F(round(get(a)?.as_i()? as f64, single))),
+            Op::PtrToInt { a, dst } => (dst, RtVal::I(get(a)?.as_p()? as i128)),
+            Op::IntToPtr { a, dst } => (dst, RtVal::P(get(a)?.as_i()? as u64)),
+            Op::Copy { a, dst } => (dst, get(a)?),
+            Op::Trap(ref msg) => return Err(trap(&**msg)),
+        };
+        frame[dst as usize] = Some(v);
+        Ok(())
+    }
+}
+
+/// Emulate single precision where the type says so.
+#[inline]
+fn round(v: f64, single: bool) -> f64 {
+    if single {
+        (v as f32) as f64
+    } else {
+        v
     }
 }
 
@@ -893,5 +1604,200 @@ entry:
 "#;
         let v = run(src, "f", &[RtVal::F(1.0e8)]).unwrap();
         assert_eq!(v, RtVal::F(1.0e8f32 as f64));
+    }
+
+    #[test]
+    fn steps_count_every_non_phi_instruction() {
+        let src = r#"
+define i32 @sum(i32 %n) {
+entry:
+  br label %header
+
+header:
+  %i = phi i32 [ 0, %entry ], [ %i2, %body ]
+  %c = icmp slt i32 %i, %n
+  br i1 %c, label %body, label %exit
+
+body:
+  %i2 = add i32 %i, 1
+  br label %header
+
+exit:
+  ret i32 %i
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        assert_eq!(interp.call("sum", &[RtVal::I(2)]).unwrap(), RtVal::I(2));
+        // entry 1 + header 2x3 + body 2x2 + exit 1; the phi is free.
+        assert_eq!(
+            interp.stats,
+            InterpStats {
+                steps: 12,
+                calls: 1
+            }
+        );
+
+        // A limit one short traps on the twelfth step, with it counted.
+        let mut interp = Interpreter::new(&m);
+        interp.step_limit = 11;
+        let e = interp.call("sum", &[RtVal::I(2)]).unwrap_err();
+        assert_eq!(e.to_string(), "interpreter trap: step limit exceeded");
+        assert_eq!(interp.stats.steps, 12);
+    }
+
+    #[test]
+    fn intrinsic_with_too_few_args_traps() {
+        let src = r#"
+declare float @llvm.sqrt.f32(float)
+
+define float @f() {
+entry:
+  %r = call float @llvm.sqrt.f32()
+  ret float %r
+}
+"#;
+        let e = run(src, "f", &[]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "interpreter trap: @llvm.sqrt.f32 called with 0 args, expects 1"
+        );
+    }
+
+    #[test]
+    fn memcpy_length_overflow_traps() {
+        let src = r#"
+declare void @llvm.memcpy.p0i8.p0i8.i64(i8* %d, i8* %s, i64 %n, i1 %v)
+
+define void @f(i8* %dst, i8* %src) {
+entry:
+  %s = getelementptr inbounds i8, i8* %src, i64 4
+  call void @llvm.memcpy.p0i8.p0i8.i64(i8* %dst, i8* %s, i64 -1, i1 false)
+  ret void
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        let (dst, src_buf) = (interp.mem.alloc(8), interp.mem.alloc(8));
+        let e = interp
+            .call("f", &[RtVal::P(dst), RtVal::P(src_buf)])
+            .unwrap_err();
+        assert_eq!(e.to_string(), "interpreter trap: pointer overflow");
+    }
+
+    #[test]
+    fn buffers_the_pointer_encoding_cannot_address_trap() {
+        let src = r#"
+declare i8* @malloc(i64)
+
+define i8* @heap(i64 %n) {
+entry:
+  %p = call i8* @malloc(i64 %n)
+  ret i8* %p
+}
+
+define [8589934592 x i8]* @stack() {
+entry:
+  %p = alloca [8589934592 x i8], align 1
+  ret [8589934592 x i8]* %p
+}
+"#;
+        let e = run(src, "heap", &[RtVal::I(-1)]).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("malloc of 18446744073709551615 bytes"),
+            "{e}"
+        );
+        let e = run(src, "heap", &[RtVal::I((1 << 32) + 1)]).unwrap_err();
+        assert!(e.to_string().contains("malloc of 4294967297 bytes"), "{e}");
+        let e = run(src, "stack", &[]).unwrap_err();
+        assert!(e.to_string().contains("alloca of 8589934592 bytes"), "{e}");
+        assert!(matches!(run(src, "heap", &[RtVal::I(16)]), Ok(RtVal::P(_))));
+    }
+
+    #[test]
+    fn oversized_shifts_match_in_debug_and_release() {
+        let src = r#"
+define i32 @lshr(i32 %a) {
+entry:
+  %r = lshr i32 %a, 200
+  ret i32 %r
+}
+
+define i32 @ashr(i32 %a) {
+entry:
+  %r = ashr i32 %a, 200
+  ret i32 %r
+}
+
+define i32 @shl(i32 %a) {
+entry:
+  %r = shl i32 %a, 200
+  ret i32 %r
+}
+"#;
+        // The amount wraps modulo 128 (200 -> 72), on the i128 value.
+        for (f, a, want) in [
+            ("lshr", 5, 0),
+            ("lshr", -1, -1),
+            ("ashr", 5, 0),
+            ("ashr", -8, -1),
+            ("shl", 5, 0),
+        ] {
+            assert_eq!(
+                run(src, f, &[RtVal::I(a)]).unwrap(),
+                RtVal::I(want),
+                "{f} {a}"
+            );
+        }
+    }
+
+    #[test]
+    fn gep_past_4_gib_does_not_reach_the_next_buffer() {
+        let src = r#"
+define float @far(float* %a) {
+entry:
+  %p = getelementptr float, float* %a, i64 1073741824
+  %v = load float, float* %p, align 4
+  ret float %v
+}
+
+define float @back(float* %a) {
+entry:
+  %p = getelementptr float, float* %a, i64 -1
+  %v = load float, float* %p, align 4
+  ret float %v
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        let a = interp.mem.alloc_f32(&[1.0]);
+        let next = interp.mem.alloc_f32(&[2.0]);
+        assert_eq!(next, a + (1 << 32));
+        for f in ["far", "back"] {
+            let e = interp.call(f, &[RtVal::P(next)]).unwrap_err();
+            assert!(e.to_string().contains("wild pointer"), "{f}: {e}");
+        }
+        let e = interp.call("far", &[RtVal::P(a)]).unwrap_err();
+        assert!(e.to_string().contains("wild pointer"), "{e}");
+    }
+
+    #[test]
+    fn phi_in_entry_block_traps_after_the_ops_before_it() {
+        let src = r#"
+define i32 @f(i32 %a) {
+entry:
+  %x = add i32 %a, 1
+  %y = add i32 %x, 1
+  %p = phi i32 [ 0, %entry ]
+  ret i32 %p
+}
+"#;
+        // The verifier rejects this; the interpreter must still trap.
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        let e = interp.call("f", &[RtVal::I(1)]).unwrap_err();
+        assert_eq!(e.to_string(), "interpreter trap: phi in entry block");
+        assert_eq!(interp.stats.steps, 2);
     }
 }
