@@ -51,7 +51,7 @@ use vitis_sim::{csynth_budgeted, CsynthReport, Target};
 use crate::cache::{self, Cache, CacheError, CacheKey, KeyBuilder, Lookup};
 use crate::cosim::cosim;
 use crate::experiment::Directives;
-use crate::flow::{run_flow_budgeted, Flow};
+use crate::flow::{run_flow_on_text, Flow};
 use crate::supervisor::{
     ChaosConfig, ChaosEngine, ChaosFault, FaultClass, Journal, JournalError, JournalOutcomes,
     RetryPolicy, StageError,
@@ -146,6 +146,44 @@ impl BatchOptions {
     }
 }
 
+/// What one supervised run compiles. The source kind decides the stage
+/// set: a suite kernel has a reference implementation, so it co-simulates
+/// and may degrade to the C++ flow; raw MLIR runs flow → csynth only.
+#[derive(Clone, Copy)]
+pub enum Source<'a> {
+    /// A suite kernel.
+    Suite(&'a Kernel),
+    /// Raw MLIR text (an `mha-serve` request body).
+    Raw {
+        /// Module name.
+        name: &'a str,
+        /// MLIR module text.
+        mlir: &'a str,
+    },
+}
+
+impl Source<'_> {
+    /// Resolve a suite kernel by name; an unknown name is a deterministic
+    /// `request` fault.
+    pub fn suite(name: &str) -> Result<Source<'static>, StageError> {
+        kernels::kernel(name)
+            .map(Source::Suite)
+            .ok_or_else(|| StageError::Fault {
+                stage: "request".into(),
+                class: FaultClass::Deterministic,
+                detail: format!("unknown suite kernel '{name}'"),
+            })
+    }
+
+    /// The kernel or module name (also the chaos and panic-hook key).
+    pub fn name(&self) -> &str {
+        match self {
+            Source::Suite(k) => k.name,
+            Source::Raw { name, .. } => name,
+        }
+    }
+}
+
 /// An infrastructure failure that prevents the batch from running at all
 /// (as opposed to a per-kernel failure, which is isolated and reported in
 /// the summary). Maps to exit code 2.
@@ -189,6 +227,18 @@ impl From<CacheError> for BatchError {
 impl From<JournalError> for BatchError {
     fn from(e: JournalError) -> Self {
         BatchError::Journal(e)
+    }
+}
+
+/// A supervised run that could not open its cache reports as an infra
+/// fault of the `cache` stage.
+impl From<BatchError> for StageError {
+    fn from(e: BatchError) -> Self {
+        StageError::Fault {
+            stage: "cache".into(),
+            class: FaultClass::Infra,
+            detail: e.to_string(),
+        }
     }
 }
 
@@ -743,6 +793,31 @@ impl BatchCtx<'_> {
         }
     }
 
+    /// Probe `stage`'s entry and decode it. A hit counts in `hits` and is
+    /// recorded in `report` as a cached stage; an undecodable entry is a
+    /// warning and a miss.
+    fn cached<T>(
+        &self,
+        name: &str,
+        stage: &str,
+        key: &CacheKey,
+        decode: impl FnOnce(String) -> Result<T, String>,
+        report: &mut PipelineReport,
+        hits: &mut usize,
+    ) -> Option<T> {
+        let start = std::time::Instant::now();
+        let value = match decode(self.probe(name, stage, key)?) {
+            Ok(v) => v,
+            Err(e) => {
+                self.warn(format!("undecodable {stage} entry for {name}: {e}"));
+                return None;
+            }
+        };
+        *hits += 1;
+        report.record_cached(stage, start.elapsed().as_micros() as u64);
+        Some(value)
+    }
+
     /// Store a freshly computed artifact under the retry policy; store
     /// failures are warnings, not errors — the batch result is already in
     /// hand.
@@ -780,38 +855,51 @@ fn budget_trip(e: BudgetError) -> StageError {
     }
 }
 
-/// Run one kernel through `flow` → csynth → cosim with stage-level caching,
-/// under a fresh per-attempt [`Budget`] and the chaos engine's boundary
-/// injections.
-fn run_pipeline(k: &Kernel, ctx: &BatchCtx<'_>, flow: Flow) -> Result<KernelArtifacts, StageError> {
+/// Run one source through `flow` → csynth (→ cosim for suite kernels) with
+/// stage-level caching, under a fresh per-attempt [`Budget`] and the chaos
+/// engine's boundary injections. `progress` hears each stage's name as it
+/// starts.
+fn run_pipeline(
+    src: Source<'_>,
+    ctx: &BatchCtx<'_>,
+    flow: Flow,
+    progress: &mut dyn FnMut(&str),
+) -> Result<KernelArtifacts, StageError> {
     let opts = ctx.opts;
+    let name = src.name();
     let budget = opts.fresh_budget();
     let mut report = PipelineReport::new("batch");
     let mut hits = 0usize;
     let mut misses = 0usize;
     let config = directives_repr(&opts.directives, flow);
 
-    // Stage 1: MLIR → HLS-ready module, keyed by kernel content + config.
-    ctx.boundary_chaos(k.name, "flow", flow, &budget)?;
-    let flow_key = KeyBuilder::new("flow")
-        .num("kernel", k.content_digest())
-        .text("config", &config)
-        .finish();
-    let start = std::time::Instant::now();
-    let module_text = match ctx.probe(k.name, "flow", &flow_key) {
-        Some(text) => {
-            hits += 1;
-            report.record_cached("flow", start.elapsed().as_micros() as u64);
-            text
-        }
+    // Stage 1: MLIR → HLS-ready module, keyed by source content + config.
+    progress("flow");
+    ctx.boundary_chaos(name, "flow", flow, &budget)?;
+    let (flow_key, mlir) = match src {
+        Source::Suite(k) => (
+            KeyBuilder::new("flow").num("kernel", k.content_digest()),
+            k.mlir,
+        ),
+        Source::Raw { name, mlir } => (
+            KeyBuilder::new("flow")
+                .text("name", name)
+                .text("mlir", mlir),
+            mlir,
+        ),
+    };
+    let flow_key = flow_key.text("config", &config).finish();
+    let module_text = match ctx.cached(name, "flow", &flow_key, Ok, &mut report, &mut hits) {
+        Some(text) => text,
         None => {
             misses += 1;
-            let art = run_flow_budgeted(k, &opts.directives, flow, &budget).map_err(|e| {
-                StageError::classify("flow", &e.to_string(), FaultClass::Deterministic)
-            })?;
+            let art =
+                run_flow_on_text(name, mlir, &opts.directives, flow, &budget).map_err(|e| {
+                    StageError::classify("flow", &e.to_string(), FaultClass::Deterministic)
+                })?;
             report.extend_prefixed("flow", &art.report);
             let text = llvm_lite::printer::print_module(&art.module);
-            ctx.keep(k.name, "flow", &flow_key, &text);
+            ctx.keep(name, "flow", &flow_key, &text);
             text
         }
     };
@@ -819,53 +907,47 @@ fn run_pipeline(k: &Kernel, ctx: &BatchCtx<'_>, flow: Flow) -> Result<KernelArti
 
     // Stages 2 and 3 key on the module *text*: any IR change reflows them,
     // any directive change already changed the text. The module is only
-    // re-parsed when at least one of them actually has to run.
+    // re-parsed when at least one of them actually has to run. Raw MLIR
+    // has no reference implementation to co-simulate against.
     let csynth_key = KeyBuilder::new("csynth")
         .text("module", &module_text)
         .text("target", &target_repr(&opts.target))
         .finish();
-    let cosim_key = KeyBuilder::new("cosim")
-        .text("module", &module_text)
-        .num("kernel", k.content_digest())
-        .num("seed", opts.seed)
-        .finish();
-
-    ctx.boundary_chaos(k.name, "csynth", flow, &budget)?;
-    let cached_csynth = {
-        let start = std::time::Instant::now();
-        ctx.probe(k.name, "csynth", &csynth_key)
-            .and_then(|p| match cache::decode_csynth(&p) {
-                Ok(r) => {
-                    hits += 1;
-                    report.record_cached("csynth", start.elapsed().as_micros() as u64);
-                    Some(r)
-                }
-                Err(e) => {
-                    ctx.warn(format!("undecodable csynth entry for {}: {e}", k.name));
-                    None
-                }
-            })
-    };
-    ctx.boundary_chaos(k.name, "cosim", flow, &budget)?;
-    let cached_cosim = {
-        let start = std::time::Instant::now();
-        ctx.probe(k.name, "cosim", &cosim_key)
-            .and_then(|p| match cache::decode_cosim(&p) {
-                Ok(r) => {
-                    hits += 1;
-                    report.record_cached("cosim", start.elapsed().as_micros() as u64);
-                    Some(r)
-                }
-                Err(e) => {
-                    ctx.warn(format!("undecodable cosim entry for {}: {e}", k.name));
-                    None
-                }
-            })
+    let cosim_key = match src {
+        Source::Suite(k) => Some(
+            KeyBuilder::new("cosim")
+                .text("module", &module_text)
+                .num("kernel", k.content_digest())
+                .num("seed", opts.seed)
+                .finish(),
+        ),
+        Source::Raw { .. } => None,
     };
 
-    let module = if cached_csynth.is_none() || cached_cosim.is_none() {
+    progress("csynth");
+    ctx.boundary_chaos(name, "csynth", flow, &budget)?;
+    let decode_csynth = |p: String| cache::decode_csynth(&p);
+    let cached_csynth = ctx.cached(
+        name,
+        "csynth",
+        &csynth_key,
+        decode_csynth,
+        &mut report,
+        &mut hits,
+    );
+    let cached_cosim = match &cosim_key {
+        Some(key) => {
+            progress("cosim");
+            ctx.boundary_chaos(name, "cosim", flow, &budget)?;
+            let decode_cosim = |p: String| cache::decode_cosim(&p);
+            ctx.cached(name, "cosim", key, decode_cosim, &mut report, &mut hits)
+        }
+        None => None,
+    };
+
+    let module = if cached_csynth.is_none() || (cosim_key.is_some() && cached_cosim.is_none()) {
         Some(
-            llvm_lite::parser::parse_module(k.name, &module_text).map_err(|e| {
+            llvm_lite::parser::parse_module(name, &module_text).map_err(|e| {
                 StageError::classify("parse", &e.to_string(), FaultClass::Deterministic)
             })?,
         )
@@ -884,13 +966,13 @@ fn run_pipeline(k: &Kernel, ctx: &BatchCtx<'_>, flow: Flow) -> Result<KernelArti
                 .map_err(|e| {
                     StageError::classify("csynth", &e.to_string(), FaultClass::Deterministic)
                 })?;
-            ctx.keep(k.name, "csynth", &csynth_key, &cache::encode_csynth(&r));
+            ctx.keep(name, "csynth", &csynth_key, &cache::encode_csynth(&r));
             r
         }
     };
-    let cosim_result = match cached_cosim {
-        Some(r) => r,
-        None => {
+    let cosim_result = match (src, cosim_key, cached_cosim) {
+        (_, _, Some(r)) => r,
+        (Source::Suite(k), Some(cosim_key), None) => {
             misses += 1;
             budget.charge(1, "cosim").map_err(budget_trip)?;
             let r = report
@@ -898,9 +980,13 @@ fn run_pipeline(k: &Kernel, ctx: &BatchCtx<'_>, flow: Flow) -> Result<KernelArti
                 .map_err(|e| {
                     StageError::classify("cosim", &e.to_string(), FaultClass::Deterministic)
                 })?;
-            ctx.keep(k.name, "cosim", &cosim_key, &cache::encode_cosim(&r));
+            ctx.keep(name, "cosim", &cosim_key, &cache::encode_cosim(&r));
             r
         }
+        _ => crate::CosimResult {
+            max_abs_err: 0.0,
+            steps: 0,
+        },
     };
 
     Ok(KernelArtifacts {
@@ -915,27 +1001,31 @@ fn run_pipeline(k: &Kernel, ctx: &BatchCtx<'_>, flow: Flow) -> Result<KernelArti
     })
 }
 
-/// One kernel under full supervision: the requested flow first; when the
-/// adaptor flow fails *deterministically* (a legalization property of the
-/// input, not a budget trip or transient fault), fall back to the baseline
-/// C++ flow and mark the kernel degraded.
-fn run_one(k: &Kernel, ctx: &BatchCtx<'_>) -> RunOutcome {
-    if ctx.opts.inject_panic.as_deref() == Some(k.name) {
-        panic!("injected panic for {} (test hook)", k.name);
+/// One source under full supervision: the requested flow first; when the
+/// adaptor flow fails *deterministically* for a suite kernel (a
+/// legalization property of the input, not a budget trip or transient
+/// fault), fall back to the baseline C++ flow and mark the kernel degraded.
+/// A raw source has no fallback: its rejection is the answer.
+fn run_one(src: Source<'_>, ctx: &BatchCtx<'_>, progress: &mut dyn FnMut(&str)) -> RunOutcome {
+    let name = src.name();
+    if ctx.opts.inject_panic.as_deref() == Some(name) {
+        panic!("injected panic for {name} (test hook)");
     }
-    match run_pipeline(k, ctx, ctx.opts.flow) {
+    match run_pipeline(src, ctx, ctx.opts.flow, progress) {
         Ok(a) => RunOutcome::Completed(Box::new(a)),
         Err(StageError::Fault {
             stage,
             class: FaultClass::Deterministic,
             detail,
-        }) if ctx.opts.flow == Flow::Adaptor && stage == "flow" => {
+        }) if ctx.opts.flow == Flow::Adaptor
+            && stage == "flow"
+            && matches!(src, Source::Suite(_)) =>
+        {
             let reason = format!("deterministic fault in {stage}: {detail}");
             ctx.warn(format!(
-                "{}: adaptor flow failed; degrading to the C++ flow ({detail})",
-                k.name
+                "{name}: adaptor flow failed; degrading to the C++ flow ({detail})"
             ));
-            match run_pipeline(k, ctx, Flow::Cpp) {
+            match run_pipeline(src, ctx, Flow::Cpp, progress) {
                 Ok(mut artifacts) => {
                     artifacts.report.degraded = true;
                     RunOutcome::Degraded {
@@ -950,8 +1040,12 @@ fn run_one(k: &Kernel, ctx: &BatchCtx<'_>) -> RunOutcome {
     }
 }
 
-fn run_one_isolated(k: &Kernel, ctx: &BatchCtx<'_>) -> KernelRun {
-    let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| run_one(k, ctx))) {
+fn run_one_isolated(
+    src: Source<'_>,
+    ctx: &BatchCtx<'_>,
+    progress: &mut dyn FnMut(&str),
+) -> KernelRun {
+    let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| run_one(src, ctx, progress))) {
         Ok(outcome) => outcome,
         Err(payload) => {
             let message = payload
@@ -963,7 +1057,7 @@ fn run_one_isolated(k: &Kernel, ctx: &BatchCtx<'_>) -> KernelRun {
         }
     };
     KernelRun {
-        kernel: k.name.to_string(),
+        kernel: src.name().to_string(),
         outcome,
     }
 }
@@ -972,15 +1066,24 @@ fn run_one_isolated(k: &Kernel, ctx: &BatchCtx<'_>) -> KernelRun {
 /// csynth → co-simulation with stage-level caching, budget supervision,
 /// chaos injection, degraded-fallback, and panic isolation — without the
 /// batch machinery around it (no journal, no worker pool, no summary).
-///
-/// This is the per-request engine behind `mha-serve`: each HTTP request
-/// for a suite kernel becomes one `run_supervised` call sharing the same
-/// on-disk cache directory as `mha-batch`. Returns the outcome plus any
-/// warnings the run produced (the batch layer would stream these to
-/// stderr; a server attaches them to the response instead).
+/// Returns the outcome plus any warnings the run produced (the batch layer
+/// would stream these to stderr; a server attaches them to the response
+/// instead).
 pub fn run_supervised(
     kernel: &Kernel,
     opts: &BatchOptions,
+) -> Result<(RunOutcome, Vec<String>), BatchError> {
+    run_source(Source::Suite(kernel), opts, &mut |_| {})
+}
+
+/// [`run_supervised`] for any [`Source`], reporting each stage's name to
+/// `progress` as it starts. This is the one compile engine behind
+/// `mha-serve` (suite kernels and raw MLIR bodies alike, sharing the
+/// on-disk stage cache with `mha-batch`) and behind every warden worker.
+pub fn run_source(
+    src: Source<'_>,
+    opts: &BatchOptions,
+    progress: &mut dyn FnMut(&str),
 ) -> Result<(RunOutcome, Vec<String>), BatchError> {
     let cache = match &opts.cache_dir {
         Some(dir) => Some(Cache::open(dir)?),
@@ -993,7 +1096,7 @@ pub fn run_supervised(
         journal: None,
         warnings: Mutex::new(Vec::new()),
     };
-    let run = run_one_isolated(kernel, &ctx);
+    let run = run_one_isolated(src, &ctx, progress);
     let warnings = ctx.warnings.into_inner().unwrap_or_else(|p| p.into_inner());
     Ok((run.outcome, warnings))
 }
@@ -1120,7 +1223,7 @@ pub fn run_batch(kernels: &[Kernel], opts: &BatchOptions) -> Result<BatchSummary
                             outcome,
                         }
                     }
-                    None => run_one_isolated(k, &ctx),
+                    None => run_one_isolated(Source::Suite(k), &ctx, &mut |_| {}),
                 };
                 if let Some(j) = &ctx.journal {
                     if let Err(e) = j.finish(k.name, &outcome_to_json(&run.outcome)) {

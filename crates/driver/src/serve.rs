@@ -5,9 +5,10 @@
 //! (`std::net::TcpListener`, no dependencies) so kernels compile on demand:
 //!
 //! * **`POST /v1/compile`** — kernel text + config in, a supervised
-//!   pipeline outcome out (flow → csynth → co-simulation → lint for suite
-//!   kernels; flow → csynth → lint for raw MLIR bodies, which have no
-//!   reference implementation to co-simulate against). With
+//!   pipeline outcome out: both source kinds run the batch engine's
+//!   [`run_source`], flow → csynth → co-simulation → lint for suite
+//!   kernels and flow → csynth → lint for raw MLIR bodies, which have no
+//!   reference implementation to co-simulate against. With
 //!   `Accept: application/x-mha-stream` the response is a chunked stream
 //!   of JSON progress events ending in the canonical response document.
 //! * **`GET /v1/status`** — uptime, pool occupancy, cache/coalescing
@@ -57,9 +58,8 @@
 //!    coalesced`).
 //! 2. **The response cache**: completed `200`/`422` responses are kept
 //!    in memory and replayed byte-identically (`X-Mha-Served: cache`);
-//!    suite-kernel pipelines additionally share the on-disk stage cache
-//!    with `mha-batch`, and raw-MLIR responses persist under a `serve`
-//!    stage key in the same cache directory.
+//!    every compile additionally shares the on-disk stage cache with
+//!    `mha-batch`.
 //! 3. **The journal**: every cacheable response is appended to a
 //!    write-ahead journal (`serve.jsonl`, the batch [`Journal`] with an
 //!    `mha-serve` header magic) and flushed before the response is sent,
@@ -79,8 +79,8 @@
 //! `--chaos` is set: `serve/read` (slow read), `serve/worker` (worker
 //! stall), `serve/response` (socket reset after journaling — the journal
 //! makes the response recoverable on retry), and `serve/compile` (a
-//! transient raw-pipeline fault, feeding the breaker). Suite compiles
-//! additionally forward the chaos config into the batch engine's own
+//! transient fault before a raw-MLIR compile, feeding the breaker). Suite
+//! compiles instead forward the chaos config into the batch engine's own
 //! boundary/cache sites. Injection is a pure function of
 //! `(seed, key, site, attempt)`, so soaks reproduce.
 //!
@@ -93,7 +93,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -102,15 +101,15 @@ use std::time::{Duration, Instant};
 use kernels::digest::Hasher64;
 use pass_core::json::{self, JsonValue};
 use pass_core::report::json_str;
-use pass_core::{Budget, Histogram, PipelineReport};
+use pass_core::{Histogram, PipelineReport};
 use vitis_sim::Target;
 
 use crate::batch::{
-    directives_repr, outcome_to_json, run_supervised, target_repr, BatchOptions, RunOutcome,
+    directives_repr, outcome_to_json, run_source, target_repr, BatchOptions, RunOutcome, Source,
 };
-use crate::cache::{Cache, KeyBuilder, Lookup};
+use crate::cache::Cache;
 use crate::experiment::Directives;
-use crate::flow::{run_flow_on_text, Flow};
+use crate::flow::Flow;
 use crate::lint::LintReport;
 use crate::resilience::{
     Breaker, BreakerConfig, BreakerDecision, FairQueue, FairQueueConfig, ShedClass, ShedReason,
@@ -118,7 +117,7 @@ use crate::resilience::{
 use crate::supervisor::{
     ChaosConfig, ChaosEngine, ChaosFault, FaultClass, Journal, JournalError, StageError,
 };
-use crate::warden::{RawCompile, Warden, WardenConfig};
+use crate::warden::{Warden, WardenConfig};
 
 /// Journal header magic distinguishing serve journals from batch journals.
 const JOURNAL_KIND: &str = "mha-serve";
@@ -609,7 +608,6 @@ struct ServerState {
     started: Instant,
     draining: AtomicBool,
     busy: AtomicUsize,
-    cache: Option<Cache>,
     journal: Option<Journal>,
     chaos: Option<ChaosEngine>,
     conns: ConnQueue,
@@ -692,10 +690,10 @@ impl Server {
             .local_addr()
             .map_err(|e| ServeError::Bind(e.to_string()))?;
 
-        let cache = match &config.cache_dir {
-            Some(dir) => Some(Cache::open(dir).map_err(|e| ServeError::Cache(e.to_string()))?),
-            None => None,
-        };
+        // Fail fast on an unusable cache directory; each compile reopens it.
+        if let Some(dir) = &config.cache_dir {
+            Cache::open(dir).map_err(|e| ServeError::Cache(e.to_string()))?;
+        }
         let mut responses = ResponseCache::new(config.max_cached_responses);
         let journal = match &config.cache_dir {
             Some(dir) => {
@@ -761,7 +759,6 @@ impl Server {
             started: Instant::now(),
             draining: AtomicBool::new(false),
             busy: AtomicUsize::new(0),
-            cache,
             journal,
             chaos: config.chaos.map(ChaosEngine::new),
             conns: ConnQueue::new(),
@@ -1698,9 +1695,6 @@ fn process_job(state: &Arc<ServerState>, job: QueuedJob) {
             .breaker
             .report(decision == BreakerDecision::Probe, result.transient);
     }
-    if !degrade && result.code == 200 {
-        state.note_outcome(&result.body);
-    }
     let stored = StoredResponse {
         code: result.code,
         body: result.body.clone(),
@@ -1852,6 +1846,13 @@ impl CompileRequest {
         let v = json::parse(body).map_err(|e| format!("request is not JSON: {e}"))?;
         let str_field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(str::to_string);
         let num_field = |k: &str| v.get(k).and_then(|x| x.as_u64());
+        // Directives are u32s; a wider value must not wrap onto (and be
+        // answered from the cache entry of) a smaller one.
+        let u32_field = |k: &str| {
+            num_field(k)
+                .map(|n| u32::try_from(n).map_err(|_| format!("'{k}' exceeds {}", u32::MAX)))
+                .transpose()
+        };
         let kernel = str_field("kernel");
         let mlir = str_field("mlir");
         match (&kernel, &mlir) {
@@ -1866,13 +1867,13 @@ impl CompileRequest {
         };
         // `ii: 0` disables pipelining; absent means the batch default II=1.
         let directives = Directives {
-            pipeline_ii: match num_field("ii") {
+            pipeline_ii: match u32_field("ii")? {
                 None => Some(1),
                 Some(0) => None,
-                Some(ii) => Some(ii as u32),
+                Some(ii) => Some(ii),
             },
-            unroll_factor: num_field("unroll").map(|x| x as u32),
-            partition_factor: num_field("partition").map(|x| x as u32),
+            unroll_factor: u32_field("unroll")?,
+            partition_factor: u32_field("partition")?,
             flatten: v.get("flatten").and_then(|x| x.as_bool()).unwrap_or(false),
         };
         let name = str_field("name")
@@ -1915,17 +1916,6 @@ impl CompileRequest {
 
     fn effective_fuel(&self, config: &ServeConfig) -> Option<u64> {
         self.fuel.or(config.fuel)
-    }
-
-    fn budget(&self, config: &ServeConfig) -> Budget {
-        let mut b = Budget::unlimited();
-        if let Some(ms) = self.effective_deadline(config) {
-            b = b.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(fuel) = self.effective_fuel(config) {
-            b = b.with_fuel(fuel);
-        }
-        b
     }
 }
 
@@ -2001,10 +1991,7 @@ fn compile_locked(
     progress: &mut dyn FnMut(&str),
 ) -> CompileResult {
     let flow = if degrade { Flow::Cpp } else { req.flow };
-    let (outcome, warnings) = match &req.kernel {
-        Some(name) => compile_suite(state, req, name, flow, degrade, progress),
-        None => compile_raw(state, req, digest, flow, degrade, progress),
-    };
+    let (outcome, warnings) = compile_source(state, req, digest, flow, degrade, progress);
     let outcome = if degrade {
         match outcome {
             RunOutcome::Completed(a) => RunOutcome::Degraded {
@@ -2038,6 +2025,9 @@ fn compile_locked(
     };
     let lint = match &outcome {
         RunOutcome::Completed(a) | RunOutcome::Degraded { artifacts: a, .. } => {
+            if !degrade {
+                state.metrics.lock().unwrap().record_stages(&a.report);
+            }
             match llvm_lite::parser::parse_module(&req.name, &a.module_text) {
                 Ok(m) => LintReport::for_module(&m, false).to_json(),
                 Err(_) => "null".into(),
@@ -2066,33 +2056,52 @@ fn compile_locked(
     }
 }
 
-/// A suite kernel goes through the full supervised batch pipeline — flow →
-/// csynth → co-simulation with the shared on-disk stage cache and panic
-/// isolation. The serve chaos config is forwarded into the batch engine's
-/// own sites — except on the degraded fallback path, which is the safety
-/// net and runs without injection.
-fn compile_suite(
+/// Compile one request through the supervised engine ([`run_source`]):
+/// flow → csynth (→ co-simulation for suite kernels) with the on-disk stage
+/// cache shared with `mha-batch` and panic isolation, in a warden worker
+/// under `--isolate`. Serve chaos reaches suite compiles through the
+/// engine's own sites and raw compiles through the `serve/compile` site.
+/// The degraded (breaker-open) fallback runs in-process without injection:
+/// it is the safety net and must not depend on the worker pool being
+/// healthy.
+fn compile_source(
     state: &ServerState,
     req: &CompileRequest,
-    name: &str,
+    digest: &str,
     flow: Flow,
     degrade: bool,
     progress: &mut dyn FnMut(&str),
 ) -> (RunOutcome, Vec<String>) {
-    let kernel = match kernels::kernel(name) {
-        Some(k) => k,
-        None => {
-            return (
-                RunOutcome::Failed(StageError::Fault {
-                    stage: "request".into(),
-                    class: FaultClass::Deterministic,
-                    detail: format!("unknown suite kernel '{name}'"),
-                }),
-                Vec::new(),
-            )
-        }
+    let src = match &req.kernel {
+        Some(name) => match Source::suite(name) {
+            Ok(src) => src,
+            Err(e) => return (RunOutcome::Failed(e), Vec::new()),
+        },
+        None => Source::Raw {
+            name: &req.name,
+            mlir: req.mlir.as_deref().unwrap_or_default(),
+        },
     };
-    progress("supervised");
+    let raw = matches!(src, Source::Raw { .. });
+    // A transient serve-layer compile fault (what trips the breaker in
+    // soaks); a delay just slows the pipeline down.
+    let menu = [ChaosFault::IoError, ChaosFault::Delay];
+    let fault = match &state.chaos {
+        Some(engine) if raw && !degrade => engine.roll(digest, "serve/compile", 0, &menu),
+        _ => None,
+    };
+    if let Some(fault) = fault {
+        state.metrics.lock().unwrap().chaos_injected += 1;
+        if fault == ChaosFault::IoError {
+            let fault = StageError::Fault {
+                stage: "serve".into(),
+                class: FaultClass::Transient,
+                detail: "chaos: injected transient serve compile fault".into(),
+            };
+            return (RunOutcome::Failed(fault), Vec::new());
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
     let opts = BatchOptions {
         jobs: 1,
         directives: req.directives,
@@ -2102,204 +2111,18 @@ fn compile_suite(
         seed: state.config.seed,
         deadline_ms: req.effective_deadline(&state.config),
         fuel: req.effective_fuel(&state.config),
-        chaos: if degrade { None } else { state.config.chaos },
+        chaos: if degrade || raw {
+            None
+        } else {
+            state.config.chaos
+        },
         ..BatchOptions::default()
     };
-    // Isolation: ship the compile to a worker process. The degraded
-    // fallback path stays in-process — it is the safety net and must not
-    // depend on the worker pool being healthy.
     if !degrade {
         if let Some(warden) = &state.warden {
             progress("isolated");
-            return warden.execute_suite(name, &opts);
+            return warden.compile(src, &opts);
         }
     }
-    match run_supervised(kernel, &opts) {
-        Ok((outcome, warnings)) => (outcome, warnings),
-        Err(e) => (
-            RunOutcome::Failed(StageError::Fault {
-                stage: "cache".into(),
-                class: FaultClass::Infra,
-                detail: e.to_string(),
-            }),
-            Vec::new(),
-        ),
-    }
-}
-
-/// Raw MLIR has no reference implementation, so it runs flow → csynth →
-/// lint (no co-simulation), budgeted and panic-isolated, with the whole
-/// outcome persisted under a `serve` stage key in the shared cache. A
-/// degraded (breaker-open) run bypasses that cache in both directions —
-/// its outcome is not canonical for the request identity — and skips
-/// chaos injection.
-fn compile_raw(
-    state: &ServerState,
-    req: &CompileRequest,
-    digest: &str,
-    flow: Flow,
-    degrade: bool,
-    progress: &mut dyn FnMut(&str),
-) -> (RunOutcome, Vec<String>) {
-    let mlir = req.mlir.as_deref().unwrap_or_default();
-    let mut warnings = Vec::new();
-    let serve_key = (!degrade).then(|| {
-        KeyBuilder::new("serve")
-            .text("source", mlir)
-            .text("name", &req.name)
-            .text("config", &directives_repr(&req.directives, req.flow))
-            .text("target", &target_repr(&state.config.target))
-            .finish()
-    });
-    if let (Some(cache), Some(key)) = (&state.cache, &serve_key) {
-        match cache.load(key) {
-            Lookup::Hit(payload) => match json::parse(&payload)
-                .map_err(|e| e.to_string())
-                .and_then(|v| crate::batch::outcome_from_json(&v))
-            {
-                Ok(outcome) => return (outcome, warnings),
-                Err(e) => warnings.push(format!("undecodable serve cache entry: {e}")),
-            },
-            Lookup::Corrupt(e) => warnings.push(format!("corrupt serve cache entry: {e}")),
-            Lookup::Miss => {}
-        }
-    }
-    // Chaos: a transient serve-layer compile fault (what trips the
-    // breaker in soaks); a delay just slows the pipeline down.
-    if !degrade {
-        if let Some(engine) = &state.chaos {
-            match engine.roll(
-                digest,
-                "serve/compile",
-                0,
-                &[ChaosFault::IoError, ChaosFault::Delay],
-            ) {
-                Some(ChaosFault::IoError) => {
-                    state.metrics.lock().unwrap().chaos_injected += 1;
-                    return (
-                        RunOutcome::Failed(StageError::Fault {
-                            stage: "serve".into(),
-                            class: FaultClass::Transient,
-                            detail: "chaos: injected transient serve compile fault".into(),
-                        }),
-                        warnings,
-                    );
-                }
-                Some(ChaosFault::Delay) => {
-                    state.metrics.lock().unwrap().chaos_injected += 1;
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                _ => {}
-            }
-        }
-    }
-    // Isolation: ship the raw pipeline to a worker process (degraded
-    // fallback stays in-process, same as suite compiles).
-    if !degrade {
-        if let Some(warden) = &state.warden {
-            progress("isolated");
-            let rc = RawCompile {
-                name: &req.name,
-                mlir,
-                directives: &req.directives,
-                flow,
-                deadline_ms: req.effective_deadline(&state.config),
-                fuel: req.effective_fuel(&state.config),
-            };
-            let (outcome, mut wwarnings) = warden.execute_raw(&rc, &state.config.target);
-            warnings.append(&mut wwarnings);
-            if matches!(outcome, RunOutcome::Completed(_)) {
-                if let (Some(cache), Some(key)) = (&state.cache, &serve_key) {
-                    if let Err(e) = cache.store(key, &outcome_to_json(&outcome)) {
-                        warnings.push(format!("serve cache store failed: {e}"));
-                    }
-                }
-            }
-            return (outcome, warnings);
-        }
-    }
-    let budget = req.budget(&state.config);
-    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        raw_pipeline(
-            &req.name,
-            mlir,
-            &req.directives,
-            &state.config.target,
-            &budget,
-            flow,
-            progress,
-        )
-    }));
-    let outcome = match run {
-        Ok(Ok(artifacts)) => RunOutcome::Completed(Box::new(artifacts)),
-        Ok(Err(e)) => RunOutcome::Failed(e),
-        Err(payload) => RunOutcome::Panicked {
-            message: payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into()),
-        },
-    };
-    if matches!(outcome, RunOutcome::Completed(_)) {
-        if let (Some(cache), Some(key)) = (&state.cache, &serve_key) {
-            if let Err(e) = cache.store(key, &outcome_to_json(&outcome)) {
-                warnings.push(format!("serve cache store failed: {e}"));
-            }
-        }
-    }
-    (outcome, warnings)
-}
-
-// Shared with `warden::child_main`, which runs the same pipeline inside an
-// isolated worker process — hence the state-free signature.
-pub(crate) fn raw_pipeline(
-    name: &str,
-    mlir: &str,
-    directives: &Directives,
-    target: &Target,
-    budget: &Budget,
-    flow: Flow,
-    progress: &mut dyn FnMut(&str),
-) -> Result<crate::batch::KernelArtifacts, StageError> {
-    let mut report = PipelineReport::new("serve");
-    progress("flow");
-    let art = report
-        .time_stage("flow", || {
-            run_flow_on_text(name, mlir, directives, flow, budget)
-        })
-        .map_err(|e| StageError::classify("flow", &e.to_string(), FaultClass::Deterministic))?;
-    report.extend_prefixed("flow", &art.report);
-    let module_text = llvm_lite::printer::print_module(&art.module);
-    let module_digest = format!("{:016x}", kernels::fnv1a64(module_text.as_bytes()));
-    progress("csynth");
-    let csynth = report
-        .time_stage("csynth", || {
-            vitis_sim::csynth_budgeted(&art.module, target, budget)
-        })
-        .map_err(|e| StageError::classify("csynth", &e.to_string(), FaultClass::Deterministic))?;
-    Ok(crate::batch::KernelArtifacts {
-        module_text,
-        module_digest,
-        csynth,
-        cosim_max_err: 0.0,
-        cosim_steps: 0,
-        report,
-        cache_hits: 0,
-        cache_misses: 1,
-    })
-}
-
-// Record completed stage timings into the metrics histograms. Split out of
-// the worker path so the lock scope stays obvious.
-impl ServerState {
-    fn note_outcome(&self, outcome_json: &str) {
-        if let Ok(v) = json::parse(outcome_json) {
-            if let Some(report) = v.get("outcome").and_then(|o| o.get("report")) {
-                if let Ok(r) = PipelineReport::from_json_value(report) {
-                    self.metrics.lock().unwrap().record_stages(&r);
-                }
-            }
-        }
-    }
+    run_source(src, &opts, progress).unwrap_or_else(|e| (RunOutcome::Failed(e.into()), Vec::new()))
 }

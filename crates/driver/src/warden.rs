@@ -44,7 +44,6 @@
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Write as _};
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,10 +54,12 @@ use std::time::{Duration, Instant};
 use fuzzing::{run_legality_oracle, run_oracles, CampaignOpts, Failure, OracleKind, OracleOpts};
 use pass_core::json::{self, JsonValue};
 use pass_core::report::json_str;
-use pass_core::{Budget, BudgetKind};
+use pass_core::BudgetKind;
 use vitis_sim::Target;
 
-use crate::batch::{outcome_from_json, outcome_to_json, run_supervised, BatchOptions, RunOutcome};
+use crate::batch::{
+    outcome_from_json, outcome_to_json, run_source, BatchOptions, RunOutcome, Source,
+};
 use crate::experiment::Directives;
 use crate::flow::Flow;
 use crate::supervisor::{ChaosConfig, ChaosEngine, ChaosFault, FaultClass, StageError};
@@ -218,46 +219,47 @@ impl Warden {
         }
     }
 
-    /// Run a suite kernel through `run_supervised` inside a worker. A
+    /// Run one supervised compile ([`run_source`]) inside a worker. A
     /// worker death comes back as `RunOutcome::Failed(StageError::Crash)`
     /// (or a deadline budget trip for a kill-deadline SIGKILL), so callers
-    /// reuse the existing outcome → status mapping unchanged.
-    pub fn execute_suite(&self, name: &str, opts: &BatchOptions) -> (RunOutcome, Vec<String>) {
-        let mut req = format!("{{\"op\":\"suite\",\"kernel\":{}", json_str(name));
-        push_directives(&mut req, &opts.directives, opts.flow);
-        push_target(&mut req, &opts.target);
-        if let Some(dir) = &opts.cache_dir {
-            req.push_str(&format!(
-                ",\"cache_dir\":{}",
-                json_str(&dir.display().to_string())
-            ));
-        }
-        req.push_str(&format!(",\"seed\":{}", opts.seed));
-        push_opt_u64(&mut req, "deadline_ms", opts.deadline_ms);
-        push_opt_u64(&mut req, "fuel", opts.fuel);
-        if let Some(c) = &opts.chaos {
-            req.push_str(&format!(",\"chaos\":{}", json_str(&c.repr())));
-        }
-        self.push_wchaos(&mut req, name);
+    /// reuse the existing outcome → status mapping unchanged. The source
+    /// name keys the in-worker `warden` chaos site.
+    pub fn compile(&self, src: Source<'_>, opts: &BatchOptions) -> (RunOutcome, Vec<String>) {
+        let mut req = String::from("{\"op\":\"compile\"");
+        push_compile(&mut req, src, opts);
+        self.push_wchaos(&mut req, src.name());
         req.push('}');
-        self.run_compile(req, opts.deadline_ms)
+        match self.execute(req, "warden", opts.deadline_ms) {
+            Ok(reply) => decode_outcome_reply(&reply),
+            Err(e) => (RunOutcome::Failed(e), Vec::new()),
+        }
     }
 
-    /// Run a raw-MLIR compile (serve's flow → csynth pipeline) inside a
-    /// worker.
+    /// [`Warden::compile`] for a suite kernel by name.
+    pub fn execute_suite(&self, name: &str, opts: &BatchOptions) -> (RunOutcome, Vec<String>) {
+        match Source::suite(name) {
+            Ok(src) => self.compile(src, opts),
+            Err(e) => (RunOutcome::Failed(e), Vec::new()),
+        }
+    }
+
+    /// [`Warden::compile`] for raw MLIR, without a cache.
     pub fn execute_raw(&self, rc: &RawCompile<'_>, target: &Target) -> (RunOutcome, Vec<String>) {
-        let mut req = format!(
-            "{{\"op\":\"raw\",\"name\":{},\"mlir\":{}",
-            json_str(rc.name),
-            json_str(rc.mlir)
-        );
-        push_directives(&mut req, rc.directives, rc.flow);
-        push_target(&mut req, target);
-        push_opt_u64(&mut req, "deadline_ms", rc.deadline_ms);
-        push_opt_u64(&mut req, "fuel", rc.fuel);
-        self.push_wchaos(&mut req, rc.name);
-        req.push('}');
-        self.run_compile(req, rc.deadline_ms)
+        let opts = BatchOptions {
+            jobs: 1,
+            directives: *rc.directives,
+            flow: rc.flow,
+            cache_dir: None,
+            target: target.clone(),
+            deadline_ms: rc.deadline_ms,
+            fuel: rc.fuel,
+            ..BatchOptions::default()
+        };
+        let src = Source::Raw {
+            name: rc.name,
+            mlir: rc.mlir,
+        };
+        self.compile(src, &opts)
     }
 
     /// Run the fuzzing oracle stack inside a worker: the
@@ -345,14 +347,6 @@ impl Warden {
                 json_str(key)
             ));
         }
-    }
-
-    fn run_compile(&self, req: String, deadline_ms: Option<u64>) -> (RunOutcome, Vec<String>) {
-        let reply = match self.execute(req, "warden", deadline_ms) {
-            Ok(text) => text,
-            Err(e) => return (RunOutcome::Failed(e), Vec::new()),
-        };
-        decode_outcome_reply(&reply)
     }
 
     /// The core request loop: checkout → watch → send → receive →
@@ -574,8 +568,7 @@ impl Drop for DeadlineGuard {
     }
 }
 
-/// A raw-MLIR compile request shipped to a worker (mirrors serve's raw
-/// pipeline inputs).
+/// A raw-MLIR compile for [`Warden::execute_raw`].
 #[derive(Clone, Copy, Debug)]
 pub struct RawCompile<'a> {
     /// Module name.
@@ -637,29 +630,100 @@ fn push_opt_u64(out: &mut String, key: &str, v: Option<u64>) {
     }
 }
 
-fn push_directives(out: &mut String, d: &Directives, flow: Flow) {
-    out.push_str(&format!(",\"flow\":{}", json_str(flow_name(flow))));
+/// Write a compile request's fields into an open JSON object: the source,
+/// then every [`BatchOptions`] field a worker needs to rebuild the run.
+/// [`decode_compile`] inverts it.
+fn push_compile(out: &mut String, src: Source<'_>, opts: &BatchOptions) {
+    match src {
+        Source::Suite(k) => out.push_str(&format!(",\"kernel\":{}", json_str(k.name))),
+        Source::Raw { name, mlir } => out.push_str(&format!(
+            ",\"name\":{},\"mlir\":{}",
+            json_str(name),
+            json_str(mlir)
+        )),
+    }
+    let d = &opts.directives;
+    let flow = match opts.flow {
+        Flow::Adaptor => "adaptor",
+        Flow::Cpp => "cpp",
+    };
+    out.push_str(&format!(",\"flow\":\"{flow}\""));
     push_opt_u64(out, "ii", d.pipeline_ii.map(u64::from));
     push_opt_u64(out, "unroll", d.unroll_factor.map(u64::from));
     push_opt_u64(out, "partition", d.partition_factor.map(u64::from));
-    out.push_str(&format!(",\"flatten\":{}", d.flatten));
-}
-
-fn push_target(out: &mut String, t: &Target) {
+    let t = &opts.target;
     out.push_str(&format!(
-        ",\"target\":{{\"clock_bits\":\"{:016x}\",\"bram_ports\":{},\"axi_ports\":{},\"axi_extra\":{}}}",
+        ",\"flatten\":{},\"target\":{{\"clock_bits\":\"{:016x}\",\"bram_ports\":{},\"axi_ports\":{},\"axi_extra\":{}}}",
+        d.flatten,
         t.clock_ns.to_bits(),
         t.bram_ports,
         t.axi_ports,
         t.axi_extra_latency
     ));
+    if let Some(dir) = &opts.cache_dir {
+        out.push_str(&format!(
+            ",\"cache_dir\":{}",
+            json_str(&dir.display().to_string())
+        ));
+    }
+    out.push_str(&format!(",\"seed\":{}", opts.seed));
+    push_opt_u64(out, "deadline_ms", opts.deadline_ms);
+    push_opt_u64(out, "fuel", opts.fuel);
+    if let Some(c) = &opts.chaos {
+        out.push_str(&format!(",\"chaos\":{}", json_str(&c.repr())));
+    }
 }
 
-fn flow_name(flow: Flow) -> &'static str {
-    match flow {
-        Flow::Adaptor => "adaptor",
-        Flow::Cpp => "cpp",
-    }
+/// Rebuild the source and options [`push_compile`] wrote. An unknown suite
+/// kernel is the same deterministic `request` fault as in-process.
+fn decode_compile(v: &JsonValue) -> Result<(Source<'_>, BatchOptions), StageError> {
+    let text = |k: &str| v.get(k).and_then(|x| x.as_str());
+    let num = |k: &str| v.get(k).and_then(|x| x.as_u64());
+    let src = match text("kernel") {
+        Some(name) => Source::suite(name)?,
+        None => Source::Raw {
+            name: text("name").unwrap_or("kernel"),
+            mlir: text("mlir").unwrap_or_default(),
+        },
+    };
+    let t = v.get("target");
+    let t_u32 = |k: &str| {
+        t.and_then(|t| t.get(k))
+            .and_then(|x| x.as_u64())
+            .map(|n| n as u32)
+    };
+    let default = Target::default();
+    let opts = BatchOptions {
+        jobs: 1,
+        directives: Directives {
+            pipeline_ii: num("ii").map(|n| n as u32),
+            unroll_factor: num("unroll").map(|n| n as u32),
+            partition_factor: num("partition").map(|n| n as u32),
+            flatten: v.get("flatten").and_then(|x| x.as_bool()).unwrap_or(false),
+        },
+        flow: match text("flow") {
+            Some("cpp") => Flow::Cpp,
+            _ => Flow::Adaptor,
+        },
+        cache_dir: text("cache_dir").map(PathBuf::from),
+        target: Target {
+            clock_ns: t
+                .and_then(|t| t.get("clock_bits"))
+                .and_then(|x| x.as_str())
+                .and_then(|s| u64::from_str_radix(s, 16).ok())
+                .map(f64::from_bits)
+                .unwrap_or(default.clock_ns),
+            bram_ports: t_u32("bram_ports").unwrap_or(default.bram_ports),
+            axi_ports: t_u32("axi_ports").unwrap_or(default.axi_ports),
+            axi_extra_latency: t_u32("axi_extra").unwrap_or(default.axi_extra_latency),
+        },
+        seed: num("seed").unwrap_or(2026),
+        deadline_ms: num("deadline_ms"),
+        fuel: num("fuel"),
+        chaos: text("chaos").and_then(|s| ChaosConfig::parse(s).ok()),
+        ..BatchOptions::default()
+    };
+    Ok((src, opts))
 }
 
 fn decode_outcome_reply(text: &str) -> (RunOutcome, Vec<String>) {
@@ -848,8 +912,7 @@ fn handle_frame(payload: &[u8]) -> Action {
             "{\"ok\":true}".to_string()
         }
         "hog" => child_hog(&v),
-        "suite" => child_suite(&v),
-        "raw" => child_raw(&v),
+        "compile" => child_compile(&v),
         "oracle" => child_oracle(&v),
         other => return error_reply(&format!("unknown op '{other}'")),
     };
@@ -896,44 +959,6 @@ fn child_hog(v: &JsonValue) -> String {
     format!("{{\"ok\":true,\"held\":{held}}}")
 }
 
-fn decode_directives(v: &JsonValue) -> Directives {
-    let u32_field = |k: &str| v.get(k).and_then(|x| x.as_u64()).map(|n| n as u32);
-    Directives {
-        pipeline_ii: u32_field("ii"),
-        unroll_factor: u32_field("unroll"),
-        partition_factor: u32_field("partition"),
-        flatten: v.get("flatten").and_then(|x| x.as_bool()).unwrap_or(false),
-    }
-}
-
-fn decode_flow(v: &JsonValue) -> Flow {
-    match v.get("flow").and_then(|x| x.as_str()) {
-        Some("cpp") => Flow::Cpp,
-        _ => Flow::Adaptor,
-    }
-}
-
-fn decode_target(v: &JsonValue) -> Target {
-    let t = v.get("target");
-    let u32_field = |k: &str| {
-        t.and_then(|t| t.get(k))
-            .and_then(|x| x.as_u64())
-            .map(|n| n as u32)
-    };
-    let default = Target::default();
-    Target {
-        clock_ns: t
-            .and_then(|t| t.get("clock_bits"))
-            .and_then(|x| x.as_str())
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .map(f64::from_bits)
-            .unwrap_or(default.clock_ns),
-        bram_ports: u32_field("bram_ports").unwrap_or(default.bram_ports),
-        axi_ports: u32_field("axi_ports").unwrap_or(default.axi_ports),
-        axi_extra_latency: u32_field("axi_extra").unwrap_or(default.axi_extra_latency),
-    }
-}
-
 fn reply_outcome(outcome: &RunOutcome, warnings: &[String]) -> String {
     let w = warnings
         .iter()
@@ -947,90 +972,13 @@ fn reply_outcome(outcome: &RunOutcome, warnings: &[String]) -> String {
     )
 }
 
-fn child_suite(v: &JsonValue) -> String {
-    let name = v.get("kernel").and_then(|x| x.as_str()).unwrap_or_default();
-    let Some(kernel) = kernels::kernel(name) else {
-        return reply_outcome(
-            &RunOutcome::Failed(StageError::Fault {
-                stage: "request".to_string(),
-                class: FaultClass::Deterministic,
-                detail: format!("unknown suite kernel '{name}'"),
-            }),
-            &[],
-        );
+fn child_compile(v: &JsonValue) -> String {
+    let (outcome, warnings) = match decode_compile(v) {
+        Ok((src, opts)) => run_source(src, &opts, &mut |_| {})
+            .unwrap_or_else(|e| (RunOutcome::Failed(e.into()), Vec::new())),
+        Err(e) => (RunOutcome::Failed(e), Vec::new()),
     };
-    let u64_field = |k: &str| v.get(k).and_then(|x| x.as_u64());
-    let opts = BatchOptions {
-        jobs: 1,
-        directives: decode_directives(v),
-        flow: decode_flow(v),
-        cache_dir: v
-            .get("cache_dir")
-            .and_then(|x| x.as_str())
-            .map(PathBuf::from),
-        target: decode_target(v),
-        seed: u64_field("seed").unwrap_or(2026),
-        deadline_ms: u64_field("deadline_ms"),
-        fuel: u64_field("fuel"),
-        chaos: v
-            .get("chaos")
-            .and_then(|x| x.as_str())
-            .and_then(|s| ChaosConfig::parse(s).ok()),
-        ..BatchOptions::default()
-    };
-    match run_supervised(kernel, &opts) {
-        Ok((outcome, warnings)) => reply_outcome(&outcome, &warnings),
-        Err(e) => reply_outcome(
-            &RunOutcome::Failed(StageError::Fault {
-                stage: "cache".to_string(),
-                class: FaultClass::Infra,
-                detail: e.to_string(),
-            }),
-            &[],
-        ),
-    }
-}
-
-fn child_raw(v: &JsonValue) -> String {
-    let name = v
-        .get("name")
-        .and_then(|x| x.as_str())
-        .unwrap_or("kernel")
-        .to_string();
-    let mlir = v.get("mlir").and_then(|x| x.as_str()).unwrap_or_default();
-    let directives = decode_directives(v);
-    let flow = decode_flow(v);
-    let target = decode_target(v);
-    let mut budget = Budget::unlimited();
-    if let Some(ms) = v.get("deadline_ms").and_then(|x| x.as_u64()) {
-        budget = budget.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(fuel) = v.get("fuel").and_then(|x| x.as_u64()) {
-        budget = budget.with_fuel(fuel);
-    }
-    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        crate::serve::raw_pipeline(
-            &name,
-            mlir,
-            &directives,
-            &target,
-            &budget,
-            flow,
-            &mut |_| {},
-        )
-    }));
-    let outcome = match run {
-        Ok(Ok(artifacts)) => RunOutcome::Completed(Box::new(artifacts)),
-        Ok(Err(e)) => RunOutcome::Failed(e),
-        Err(payload) => RunOutcome::Panicked {
-            message: payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string()),
-        },
-    };
-    reply_outcome(&outcome, &[])
+    reply_outcome(&outcome, &warnings)
 }
 
 fn child_oracle(v: &JsonValue) -> String {
@@ -1110,29 +1058,60 @@ mod tests {
 
     #[test]
     fn directive_and_target_codecs_round_trip() {
-        let d = Directives {
-            pipeline_ii: Some(2),
-            unroll_factor: None,
-            partition_factor: Some(4),
-            flatten: true,
+        let opts = BatchOptions {
+            jobs: 1,
+            directives: Directives {
+                pipeline_ii: Some(2),
+                unroll_factor: None,
+                partition_factor: Some(4),
+                flatten: true,
+            },
+            flow: Flow::Cpp,
+            cache_dir: Some(PathBuf::from("target/mha-cache")),
+            target: Target {
+                clock_ns: 3.33,
+                bram_ports: 4,
+                axi_ports: 2,
+                axi_extra_latency: 9,
+            },
+            seed: 7,
+            deadline_ms: Some(250),
+            fuel: Some(10_000),
+            chaos: Some(ChaosConfig {
+                seed: 5,
+                rate: 0.25,
+            }),
+            ..BatchOptions::default()
         };
-        let t = Target {
-            clock_ns: 3.33,
-            bram_ports: 4,
-            axi_ports: 2,
-            axi_extra_latency: 9,
+        let gemm = Source::suite("gemm").unwrap();
+        let raw = Source::Raw {
+            name: "fuzzk",
+            mlir: "func.func @f() {\n  return\n}\n",
         };
-        let mut req = String::from("{\"op\":\"raw\"");
-        push_directives(&mut req, &d, Flow::Cpp);
-        push_target(&mut req, &t);
-        req.push('}');
-        let v = json::parse(&req).unwrap();
-        assert_eq!(decode_directives(&v), d);
-        assert_eq!(decode_flow(&v), Flow::Cpp);
-        let back = decode_target(&v);
-        assert_eq!(back.clock_ns.to_bits(), t.clock_ns.to_bits());
-        assert_eq!(back.bram_ports, 4);
-        assert_eq!(back.axi_ports, 2);
-        assert_eq!(back.axi_extra_latency, 9);
+        for src in [gemm, raw] {
+            let mut req = String::from("{\"op\":\"compile\"");
+            push_compile(&mut req, src, &opts);
+            req.push('}');
+            let v = json::parse(&req).unwrap();
+            let (back, back_opts) = decode_compile(&v).unwrap();
+            assert_eq!(back.name(), src.name());
+            match (src, back) {
+                (Source::Suite(a), Source::Suite(b)) => assert_eq!(a.name, b.name),
+                (Source::Raw { mlir: a, .. }, Source::Raw { mlir: b, .. }) => assert_eq!(a, b),
+                _ => panic!("source kind changed in transit"),
+            }
+            // Field-for-field, floats by their bits.
+            assert_eq!(format!("{back_opts:?}"), format!("{opts:?}"));
+            assert_eq!(
+                back_opts.target.clock_ns.to_bits(),
+                opts.target.clock_ns.to_bits()
+            );
+        }
+        // An unknown suite kernel decodes to the in-process request fault.
+        let v = json::parse("{\"op\":\"compile\",\"kernel\":\"nope\"}").unwrap();
+        match decode_compile(&v) {
+            Err(e) => assert_eq!(e.stage(), "request"),
+            Ok(_) => panic!("unknown kernel decoded"),
+        }
     }
 }

@@ -142,8 +142,11 @@ fn translate_func(module: &mut Module, f: &Op) -> Result<Function> {
     let mut func = Function::new(name, params, ret_ty);
     for (k, v) in &f.attrs {
         if k.starts_with("hls.") {
+            // Copy string payloads, not their quoted MLIR rendering, so the
+            // printed module re-parses.
             let val = match v {
                 Attr::Unit => "1".to_string(),
+                Attr::Str(s) => s.clone(),
                 other => other.to_string(),
             };
             func.attrs.insert(k.clone(), val);

@@ -542,6 +542,33 @@ entry:
     }
 
     #[test]
+    fn huge_partition_factor_saturates_ports_instead_of_hanging() {
+        // 2 ports x 2^31 banks overflows u32. Unless the port count
+        // saturates, port arbitration searches forever for a free cycle
+        // without charging fuel; the thread turns that into a failure.
+        let src = SCALE.replace(
+            "\"hls.interface\"=\"ap_memory\"",
+            "\"hls.interface\"=\"ap_memory\" \"hls.array_partition\"=\"cyclic:2147483648\"",
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let m = parse_module("m", &src).unwrap();
+            let budget = Budget::unlimited().with_fuel(1_000_000);
+            let _ = tx.send(csynth_budgeted(&m, &Target::default(), &budget));
+        });
+        let huge = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("csynth must finish (or trip its fuel) for a 2^31 partition factor")
+            .unwrap();
+        let complete = SCALE.replace(
+            "\"hls.interface\"=\"ap_memory\"",
+            "\"hls.interface\"=\"ap_memory\" \"hls.array_partition\"=\"complete\"",
+        );
+        let complete = csynth(&parse_module("m", &complete).unwrap(), &Target::default()).unwrap();
+        assert_eq!(huge.latency, complete.latency);
+    }
+
+    #[test]
     fn deadline_budget_trips_synthesis() {
         let m = parse_module("m", SCALE).unwrap();
         let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);

@@ -50,9 +50,11 @@ impl ScheduleCtx {
     }
 
     /// Effective BRAM ports for a base: dual-port per partition bank.
+    /// Saturates, so a huge partition factor means "unlimited ports"
+    /// rather than wrapping to zero and starving port arbitration.
     pub fn ports_for(&self, base: &BaseObject, target: &Target) -> u32 {
         let factor = self.partition.get(base).copied().unwrap_or(1).max(1);
-        target.bram_ports * factor
+        target.bram_ports.saturating_mul(factor)
     }
 }
 

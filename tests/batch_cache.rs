@@ -384,3 +384,110 @@ fn chaos_injected_store_error_is_a_warning_not_a_failure() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+use driver::batch::{run_source, run_supervised, Source};
+use driver::{FaultClass, StageError};
+
+/// A partition directive must survive the print/parse boundary between
+/// the flow and csynth stages, and a 2^31 factor must not stall port
+/// arbitration: both reach the in-memory latency.
+#[test]
+fn partition_directives_survive_the_print_parse_boundary() {
+    let gemm = kernels::kernel("gemm").unwrap();
+    for factor in [4, 1 << 31] {
+        let directives = Directives {
+            partition_factor: Some(factor),
+            ..Directives::pipelined(1)
+        };
+        let in_memory = run_flow(gemm, &directives, Flow::Adaptor).unwrap();
+        let expect = vitis_sim::csynth(&in_memory.module, &vitis_sim::Target::default()).unwrap();
+        let opts = BatchOptions {
+            directives,
+            cache_dir: None,
+            ..BatchOptions::default()
+        };
+        let (outcome, _) = run_supervised(gemm, &opts).unwrap();
+        let a = artifacts(&outcome);
+        assert_eq!(a.cosim_max_err, 0.0, "partition {factor}");
+        assert_eq!(a.csynth.latency, expect.latency, "partition {factor}");
+        assert_eq!(a.csynth.latency, 31317, "partition {factor}");
+    }
+}
+
+/// Raw MLIR runs the same engine as suite kernels: flow → csynth through
+/// the stage cache, with no co-simulation and no C++ fallback.
+#[test]
+fn raw_sources_share_the_engine_but_skip_cosim_and_never_degrade() {
+    let dir = temp_cache("raw-source");
+    let gemm = kernels::kernel("gemm").unwrap();
+    let raw = Source::Raw {
+        name: gemm.name,
+        mlir: gemm.mlir,
+    };
+    let run = |src: Source<'_>, opts: &BatchOptions| {
+        let mut stages = Vec::new();
+        let (outcome, _) = run_source(src, opts, &mut |s| stages.push(s.to_string())).unwrap();
+        (outcome, stages)
+    };
+    let no_cache = BatchOptions {
+        cache_dir: None,
+        ..BatchOptions::default()
+    };
+    let (suite, suite_stages) = run(Source::Suite(gemm), &no_cache);
+    let (cold, stages) = run(raw, &opts(&dir));
+    assert_eq!(suite_stages, ["flow", "csynth", "cosim"]);
+    assert_eq!(stages, ["flow", "csynth"]);
+    let (s, r) = (artifacts(&suite), artifacts(&cold));
+    assert_eq!(r.module_text, s.module_text);
+    assert_eq!(r.csynth.latency, s.csynth.latency);
+    assert_eq!((r.cosim_max_err, r.cosim_steps), (0.0, 0));
+    let names: Vec<&str> = r.report.passes.iter().map(|p| p.pass.as_str()).collect();
+    assert_eq!(names, ["flow/lower", "flow/adaptor", "csynth"]);
+    assert_eq!((r.cache_hits, r.cache_misses), (0, 2));
+
+    // The rerun is served from the stage cache, byte for byte.
+    let (warm, _) = run(raw, &opts(&dir));
+    let w = artifacts(&warm);
+    assert_eq!((w.cache_hits, w.cache_misses), (2, 0));
+    assert_eq!(w.module_text, r.module_text);
+    assert_eq!(w.csynth, r.csynth);
+
+    // A chaos seed whose adaptor-flow roll for "gemm" is a legalization
+    // rejection, with a harmless C++-flow retry and quiet later stages.
+    const ADAPTOR_MENU: [ChaosFault; 4] = [
+        ChaosFault::Panic,
+        ChaosFault::Delay,
+        ChaosFault::FuelExhaustion,
+        ChaosFault::AdaptorReject,
+    ];
+    const BOUNDARY_MENU: [ChaosFault; 3] = [
+        ChaosFault::Panic,
+        ChaosFault::Delay,
+        ChaosFault::FuelExhaustion,
+    ];
+    let chaos = (0..10_000u64)
+        .map(|seed| ChaosConfig { seed, rate: 0.5 })
+        .find(|&cfg| {
+            let e = ChaosEngine::new(cfg);
+            e.roll("gemm", "flow", 0, &ADAPTOR_MENU) == Some(ChaosFault::AdaptorReject)
+                && e.roll("gemm", "flow", 0, &BOUNDARY_MENU) == Some(ChaosFault::Delay)
+                && e.roll("gemm", "csynth", 0, &BOUNDARY_MENU).is_none()
+                && e.roll("gemm", "cosim", 0, &BOUNDARY_MENU).is_none()
+        })
+        .expect("a lone adaptor-rejection seed exists");
+    let chaotic = BatchOptions {
+        chaos: Some(chaos),
+        ..no_cache
+    };
+    assert!(matches!(
+        run(Source::Suite(gemm), &chaotic).0,
+        RunOutcome::Degraded { .. }
+    ));
+    match run(raw, &chaotic).0 {
+        RunOutcome::Failed(StageError::Fault { stage, class, .. }) => {
+            assert_eq!((stage.as_str(), class), ("flow", FaultClass::Deterministic));
+        }
+        other => panic!("a raw adaptor rejection must not degrade: {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

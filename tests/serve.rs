@@ -855,3 +855,68 @@ fn bounded_response_cache_evicts_lru_and_reports_counters() {
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A raw body's report carries the engine's stages once: `flow/*`
+/// sub-stages and `csynth`, never a bare `flow` record on top of them,
+/// which would count flow time twice in `total_us` and the status
+/// histogram. A partition directive survives the print/parse boundary,
+/// so the body is linted too.
+#[test]
+fn raw_report_has_no_bare_flow_record_and_partitioned_bodies_lint() {
+    let dir = temp_dir("raw-report");
+    let server = Server::start(config(&dir)).expect("server starts");
+    let addr = server.addr();
+
+    for body in [
+        fuzz_request(11),
+        fuzz_request(11).replacen('{', "{\"partition\":4,", 1),
+    ] {
+        let (code, _, resp) = compile(addr, &body);
+        assert_eq!(code, 200, "body: {resp}");
+        let v = pass_core::json::parse(&resp).unwrap();
+        let outcome = v.get("outcome").unwrap();
+        let report = outcome.get("report").unwrap();
+        let names: Vec<&str> = report
+            .get("passes")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(|p| p.get("pass").and_then(|x| x.as_str()))
+            .collect();
+        assert!(!names.contains(&"flow"), "bare flow record in {names:?}");
+        assert!(names.iter().any(|n| n.starts_with("flow/")), "{names:?}");
+        assert!(!names.contains(&"cosim"), "raw bodies never co-simulate");
+        assert!(
+            v.get("lint").unwrap().as_arr().is_some(),
+            "lint must run: {resp}"
+        );
+    }
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Directive values above `u32::MAX` are a 400 naming the field, not a
+/// wrapped value answered from another request's cache entry.
+#[test]
+fn out_of_range_directives_are_rejected_not_aliased() {
+    let dir = temp_dir("directive-range");
+    let server = Server::start(config(&dir)).expect("server starts");
+    let addr = server.addr();
+
+    let (code, _, body) = compile(addr, "{\"kernel\":\"fir\",\"unroll\":2}");
+    assert_eq!(code, 200, "body: {body}");
+    for field in ["ii", "unroll", "partition"] {
+        let req = format!("{{\"kernel\":\"fir\",\"{field}\":4294967298}}");
+        let (code, served, body) = compile(addr, &req);
+        assert_eq!(code, 400, "{field}: {served} {body}");
+        assert!(body.contains(&format!("'{field}'")), "{field}: {body}");
+    }
+    // The largest u32 is still a valid directive value.
+    let (code, _, body) = compile(addr, "{\"kernel\":\"fir\",\"ii\":4294967295}");
+    assert_ne!(code, 400, "body: {body}");
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
