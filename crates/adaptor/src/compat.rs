@@ -9,7 +9,7 @@
 //! refuses to schedule modules that still carry issues — mimicking the real
 //! tool erroring out during IR import.
 
-use llvm_lite::analysis::{Cfg, DomTree, LoopInfo};
+use llvm_lite::analysis::{Cfg, DomTree};
 use llvm_lite::transforms::ModulePass;
 use llvm_lite::{InstData, Module, Opcode, Type};
 use pass_core::{Diagnostic, Loc, PassResult};
@@ -115,6 +115,14 @@ fn name_is_legal(name: &str) -> bool {
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
+/// Rank of a parameter's recorded `mha.shape` (`4x4xf32` has rank 2), or
+/// 0 without one.
+fn shape_rank(p: &llvm_lite::module::Param) -> usize {
+    p.attrs
+        .get("mha.shape")
+        .map_or(0, |shape| shape.matches('x').count())
+}
+
 /// Scan a module and produce every compatibility issue.
 pub fn compat_issues(m: &Module) -> Vec<CompatIssue> {
     let mut issues = Vec::new();
@@ -200,10 +208,24 @@ pub fn compat_issues(m: &Module) -> Vec<CompatIssue> {
                 );
             }
         }
-        let cfg = Cfg::build(f);
-        let dom = DomTree::build(f, &cfg);
-        let loops = LoopInfo::build(f, &cfg, &dom);
-        for (b, id) in f.inst_ids() {
+        let has_rank2_param = f.params.iter().any(|p| shape_rank(p) >= 2);
+        // The latch test needs dominators, and only loop metadata asks it.
+        let has_loop_md = f.block_order.iter().any(|&b| {
+            f.block(b)
+                .insts
+                .iter()
+                .any(|&i| f.inst(i).loop_md.is_some())
+        });
+        let dom = has_loop_md.then(|| {
+            let cfg = Cfg::build(f);
+            let dom = DomTree::build(f, &cfg);
+            (cfg, dom)
+        });
+        for (b, id) in f
+            .block_order
+            .iter()
+            .flat_map(|&b| f.block(b).insts.iter().map(move |&i| (b, i)))
+        {
             let inst = f.inst(id);
             match inst.opcode {
                 Opcode::Call => {
@@ -262,11 +284,13 @@ pub fn compat_issues(m: &Module) -> Vec<CompatIssue> {
                 }
             }
             if inst.loop_md.is_some() {
-                // Must be the latch of a natural loop (a back edge source).
-                let is_latch = loops
-                    .loops
-                    .iter()
-                    .any(|l| l.latches.contains(&b) && f.terminator(b) == Some(id));
+                // Must be the latch of a natural loop: the terminator of a
+                // reachable block with a successor that dominates it (the
+                // source of a back edge).
+                let (cfg, dom) = dom.as_ref().expect("built when loop metadata is present");
+                let is_latch = f.terminator(b) == Some(id)
+                    && dom.rpo_index(b) != usize::MAX
+                    && cfg.succs[b as usize].iter().any(|&s| dom.dominates(s, b));
                 if !is_latch {
                     push(
                         IssueKind::MisplacedLoopMetadata,
@@ -277,23 +301,21 @@ pub fn compat_issues(m: &Module) -> Vec<CompatIssue> {
             }
             // Flattened multi-dim accesses: a single-index GEP whose base is
             // a parameter annotated with a rank>=2 shape means array
-            // recovery has not run (or failed).
-            if inst.opcode == Opcode::Gep {
+            // recovery has not run (or failed). Only then is the base worth
+            // resolving.
+            if inst.opcode == Opcode::Gep && inst.operands.len() == 2 && has_rank2_param {
                 // Resolve through bitcasts/phis/selects with the shared
                 // points-to analysis, not just a direct-argument match.
                 if let analysis::MemObject::Param(arg) =
                     analysis::resolve_base(f, &inst.operands[0])
                 {
                     let p = &f.params[arg as usize];
-                    if let Some(shape) = p.attrs.get("mha.shape") {
-                        let rank = shape.matches('x').count();
-                        if rank >= 2 && inst.operands.len() == 2 {
-                            push(
-                                IssueKind::FlattenedAccess,
-                                &f.name,
-                                format!("gep %{id} on %{}", p.name),
-                            );
-                        }
+                    if shape_rank(p) >= 2 {
+                        push(
+                            IssueKind::FlattenedAccess,
+                            &f.name,
+                            format!("gep %{id} on %{}", p.name),
+                        );
                     }
                 }
             }

@@ -177,7 +177,11 @@ pub fn run_adaptor_budgeted(
         .map(str::to_string)
         .collect();
     report.pipeline = pipeline;
-    report.issues_after = compat_issues(m).len();
+    // The last per-pass sample was taken on the module as it now stands.
+    report.issues_after = report
+        .issues_after_pass
+        .last()
+        .map_or(report.issues_before, |&(_, n)| n);
     if cfg.gate {
         let mut pm = PassManager::with_label("compat-gate");
         pm.add(VerifyCompat);

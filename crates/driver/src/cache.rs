@@ -34,7 +34,7 @@ use kernels::digest::Hasher64;
 
 /// Bumped whenever the entry format or any payload encoding changes;
 /// part of every key, so old entries simply stop matching.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// An I/O or setup failure in the cache layer. Lookup-level problems
 /// (missing or corrupt entries) are *not* errors — they surface as

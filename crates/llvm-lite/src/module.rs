@@ -5,7 +5,14 @@
 //! edits; deleting an instruction tombstones its arena slot (`removed`
 //! flag) rather than shifting indices, so passes can hold ids across
 //! mutations.
+//!
+//! [`Function::block_of`], [`Function::remove_inst`] and
+//! [`Function::replace_all_uses`] each scan the whole function. They are
+//! for one-off edits: a pass that would call them once per instruction
+//! should build its own index, or collect its edits and apply them in one
+//! sweep ([`Function::remove_insts`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::inst::{Inst, InstData, Opcode};
@@ -177,12 +184,32 @@ impl Function {
         id
     }
 
-    /// Unlink an instruction from its block and tombstone it.
+    /// Unlink an instruction from its block and tombstone it. This scans
+    /// every block; use [`Function::remove_insts`] to remove many.
     pub fn remove_inst(&mut self, id: InstId) {
         for b in &mut self.blocks {
             b.insts.retain(|&i| i != id);
         }
         self.inst_removed[id as usize] = true;
+    }
+
+    /// [`Function::remove_inst`] for a batch: unlink every listed
+    /// instruction with one sweep over the blocks, then tombstone them.
+    pub fn remove_insts(&mut self, ids: &[InstId]) {
+        if ids.is_empty() {
+            return;
+        }
+        let mut doomed = vec![false; self.insts.len()];
+        for &id in ids {
+            doomed[id as usize] = true;
+        }
+        for b in &mut self.blocks {
+            b.insts
+                .retain(|&i| !doomed.get(i as usize).copied().unwrap_or(false));
+        }
+        for &id in ids {
+            self.inst_removed[id as usize] = true;
+        }
     }
 
     /// Unlink a block from the layout and tombstone it (instructions inside
@@ -196,7 +223,8 @@ impl Function {
         self.blocks[id as usize].removed = true;
     }
 
-    /// The block that currently contains `id`, if any.
+    /// The block that currently contains `id`, if any. This scans every
+    /// block's instruction list.
     pub fn block_of(&self, id: InstId) -> Option<BlockId> {
         self.block_order
             .iter()
@@ -225,19 +253,29 @@ impl Function {
     /// Resolve the type of any value in the context of this function (and
     /// the module for globals).
     pub fn value_type(&self, module: &Module, v: &Value) -> Type {
+        self.value_type_ref(module, v).into_owned()
+    }
+
+    /// [`Function::value_type`] without the clone: arguments, instruction
+    /// results and constants lend their type; only the address type of a
+    /// global is built.
+    pub fn value_type_ref<'a>(&'a self, module: &Module, v: &'a Value) -> Cow<'a, Type> {
         match v {
-            Value::Arg(i) => self.params[*i as usize].ty.clone(),
-            Value::Inst(id) => self.inst(*id).ty.clone(),
-            Value::Global(name) => module
-                .global(name)
-                .map(|g| g.ty.ptr_to())
-                .unwrap_or(Type::I8.ptr_to()),
-            other => other.const_type().cloned().expect("typed constant"),
+            Value::Arg(i) => Cow::Borrowed(&self.params[*i as usize].ty),
+            Value::Inst(id) => Cow::Borrowed(&self.inst(*id).ty),
+            Value::Global(name) => Cow::Owned(
+                module
+                    .global(name)
+                    .map(|g| g.ty.ptr_to())
+                    .unwrap_or(Type::I8.ptr_to()),
+            ),
+            other => Cow::Borrowed(other.const_type().expect("typed constant")),
         }
     }
 
     /// Replace every use of `from` with `to` across all live instructions.
-    /// Returns the number of operand slots rewritten.
+    /// Returns the number of operand slots rewritten. This scans every
+    /// instruction in the arena.
     pub fn replace_all_uses(&mut self, from: &Value, to: &Value) -> usize {
         let mut n = 0;
         for (idx, inst) in self.insts.iter_mut().enumerate() {
@@ -417,6 +455,22 @@ mod tests {
     }
 
     #[test]
+    fn batch_removal_matches_one_by_one() {
+        let mut one = simple_fn();
+        let b2 = one.add_block("next");
+        one.push_inst(b2, Inst::new(Opcode::Unreachable, Type::Void, vec![]));
+        let mut batch = one.clone();
+        one.remove_inst(0);
+        one.remove_inst(2);
+        batch.remove_insts(&[2, 0]);
+        assert_eq!(one, batch);
+        assert_eq!(batch.block(0).insts, vec![1]);
+        assert!(batch.block(b2).insts.is_empty());
+        batch.remove_insts(&[]);
+        assert_eq!(one, batch);
+    }
+
+    #[test]
     #[should_panic(expected = "use of removed instruction")]
     fn access_removed_panics() {
         let mut f = simple_fn();
@@ -439,6 +493,14 @@ mod tests {
         assert_eq!(f.value_type(&m, &Value::Arg(0)), Type::I32);
         assert_eq!(f.value_type(&m, &Value::Inst(0)), Type::I32);
         assert_eq!(f.value_type(&m, &Value::f32(1.0)), Type::Float);
+        assert!(matches!(
+            f.value_type_ref(&m, &Value::Arg(0)),
+            Cow::Borrowed(&Type::I32)
+        ));
+        assert_eq!(
+            *f.value_type_ref(&m, &Value::Global("g".into())),
+            Type::I8.ptr_to()
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! by PHIs; blocks named before declared) are resolved with a fixup pass at
 //! the end of each function.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::inst::{FloatPred, Inst, InstData, IntPred, Opcode};
@@ -520,6 +521,7 @@ impl<'a> Parser<'a> {
         while self.tok != Tok::Punct(')') {
             let ty = self.parse_type()?;
             let attrs = self.parse_string_attrs()?;
+            let line = self.lex.line;
             let pname = match &self.tok {
                 Tok::Local(_) => match self.bump()? {
                     Tok::Local(n) => n,
@@ -531,6 +533,12 @@ impl<'a> Parser<'a> {
                     n
                 }
             };
+            if params.iter().any(|p: &Param| p.name == pname) {
+                return Err(Error::Parse {
+                    line,
+                    msg: format!("multiple definition of local value %{pname}"),
+                });
+            }
             let mut p = Param::new(pname, ty);
             p.attrs.extend(attrs);
             params.push(p);
@@ -654,14 +662,15 @@ impl<'a> Parser<'a> {
         block_fixups: &mut Vec<(InstId, String, SuccSlot)>,
         md_uses: &mut Vec<(InstId, u32)>,
     ) -> Result<()> {
-        // Optional result binding.
+        // Optional result binding, with the line it sits on.
         let result_name = if let Tok::Local(_) = &self.tok {
+            let line = self.lex.line;
             let n = match self.bump()? {
                 Tok::Local(n) => n,
                 _ => unreachable!(),
             };
             self.eat_punct('=')?;
-            Some(n)
+            Some((n, line))
         } else {
             None
         };
@@ -679,7 +688,7 @@ impl<'a> Parser<'a> {
         )?;
         let has_result = inst.has_result();
         let mut inst = inst;
-        if let Some(n) = &result_name {
+        if let Some((n, _)) = &result_name {
             inst.name = n.clone();
         }
         let id = f.push_inst(block, inst);
@@ -709,11 +718,23 @@ impl<'a> Parser<'a> {
                 name,
             });
         }
-        if let Some(n) = result_name {
+        if let Some((n, line)) = result_name {
             if !has_result {
                 return Err(self.err(format!("%{n} bound to void instruction")));
             }
-            names.insert(n, Value::Inst(id));
+            // As in LLVM, a local name is defined once: rebinding it would
+            // silently retarget every later use.
+            match names.entry(n) {
+                Entry::Occupied(taken) => {
+                    return Err(Error::Parse {
+                        line,
+                        msg: format!("multiple definition of local value %{}", taken.key()),
+                    })
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(Value::Inst(id));
+                }
+            }
         }
         // Late fix: phi/branch placeholder successors recorded against this id.
         for fx in block_fixups.iter_mut() {
@@ -1322,5 +1343,28 @@ entry:
         ] {
             assert!(parse_module("m", bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn a_second_definition_of_a_local_is_a_located_error() {
+        let src = "define float @f(float* %p) {\nentry:\n  %x = load float, float* %p, align 4\n  %x = fadd float %x, %x\n  ret float %x\n}\n";
+        let e = parse_module("m", src).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "parse error at line 4: multiple definition of local value %x"
+        );
+        // So are a repeated parameter and a result shadowing a parameter.
+        let src = "define i32 @f(i32 %a,\n    i32 %a) {\nentry:\n  ret i32 %a\n}\n";
+        let e = parse_module("m", src).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "parse error at line 2: multiple definition of local value %a"
+        );
+        let src = "define i32 @f(i32 %a) {\nentry:\n  %a = add i32 %a, 1\n  ret i32 %a\n}\n";
+        let e = parse_module("m", src).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "parse error at line 3: multiple definition of local value %a"
+        );
     }
 }

@@ -1,11 +1,13 @@
 //! Dead code elimination.
 //!
-//! Iteratively removes value-producing instructions with no users and no
-//! side effects. Runs to a local fixed point within each call.
+//! Removes value-producing instructions with no users and no side
+//! effects, and the ones that lose their last user to that. Runs to a local
+//! fixed point within each call.
 
-use crate::analysis::DefUse;
-use crate::module::Module;
+use crate::inst::Inst;
+use crate::module::{Function, InstId, Module};
 use crate::transforms::ModulePass;
+use crate::value::Value;
 use pass_core::PassResult;
 
 /// The DCE pass.
@@ -19,31 +21,60 @@ impl ModulePass<Module> for Dce {
     fn run(&self, m: &mut Module) -> PassResult<bool> {
         let mut changed = false;
         for f in &mut m.functions {
-            if f.is_declaration {
-                continue;
-            }
-            loop {
-                let du = DefUse::build(f);
-                let dead: Vec<u32> = f
-                    .inst_ids()
-                    .into_iter()
-                    .map(|(_, id)| id)
-                    .filter(|&id| {
-                        let inst = f.inst(id);
-                        inst.has_result() && !inst.opcode.has_side_effects() && du.num_uses(id) == 0
-                    })
-                    .collect();
-                if dead.is_empty() {
-                    break;
-                }
-                for id in dead {
-                    f.remove_inst(id);
-                    changed = true;
-                }
+            if !f.is_declaration {
+                changed |= strip_dead(f);
             }
         }
         Ok(changed)
     }
+}
+
+fn is_removable(inst: &Inst) -> bool {
+    inst.has_result() && !inst.opcode.has_side_effects()
+}
+
+/// Remove every instruction that is dead, or becomes dead once the dead
+/// ones are gone: one use count per instruction, a worklist, and one
+/// batched removal. Returns whether anything was removed.
+fn strip_dead(f: &mut Function) -> bool {
+    let n = f.insts.len();
+    let mut uses = vec![0u32; n];
+    let mut placed = vec![false; n];
+    for &b in &f.block_order {
+        for &id in &f.blocks[b as usize].insts {
+            placed[id as usize] = true;
+            for op in &f.inst(id).operands {
+                if let Value::Inst(d) = op {
+                    if let Some(u) = uses.get_mut(*d as usize) {
+                        *u += 1;
+                    }
+                }
+            }
+        }
+    }
+    let mut dead = vec![false; n];
+    let mut work: Vec<InstId> = (0..n as InstId)
+        .filter(|&id| placed[id as usize] && uses[id as usize] == 0 && is_removable(f.inst(id)))
+        .collect();
+    let mut doomed = Vec::new();
+    while let Some(id) = work.pop() {
+        if std::mem::replace(&mut dead[id as usize], true) {
+            continue;
+        }
+        doomed.push(id);
+        for op in &f.inst(id).operands {
+            let Value::Inst(d) = *op else { continue };
+            let d = d as usize;
+            if d < n {
+                uses[d] -= 1;
+                if uses[d] == 0 && placed[d] && !dead[d] && is_removable(f.inst(d as InstId)) {
+                    work.push(d as InstId);
+                }
+            }
+        }
+    }
+    f.remove_insts(&doomed);
+    !doomed.is_empty()
 }
 
 #[cfg(test)]

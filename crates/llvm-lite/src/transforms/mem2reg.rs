@@ -10,7 +10,7 @@
 //! of each promotable alloca's stores, then rename with a dominator-tree
 //! walk.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::analysis::{Cfg, DomTree};
 use crate::inst::{Inst, InstData, Opcode};
@@ -39,25 +39,31 @@ impl ModulePass<Module> for Mem2Reg {
     }
 }
 
-/// Is this alloca promotable: scalar type, and used only as the pointer of
-/// loads and stores (never stored *as a value*, never GEP'd or passed on)?
+/// Promotable allocas, in layout order: scalar type, and used only as the
+/// pointer of loads and stores (never stored *as a value*, never GEP'd or
+/// passed on). One sweep over the uses decides every candidate.
 fn promotable_allocas(f: &Function) -> Vec<InstId> {
-    let mut candidates = Vec::new();
-    'next: for (_, id) in f.inst_ids() {
-        let inst = f.inst(id);
-        if inst.opcode != Opcode::Alloca {
-            continue;
+    let mut candidate = vec![false; f.insts.len()];
+    let mut order = Vec::new();
+    for &b in &f.block_order {
+        for &id in &f.blocks[b as usize].insts {
+            if let InstData::Alloca { allocated, .. } = &f.inst(id).data {
+                if f.inst(id).opcode == Opcode::Alloca && allocated.is_first_class_scalar() {
+                    candidate[id as usize] = true;
+                    order.push(id);
+                }
+            }
         }
-        let InstData::Alloca { allocated, .. } = &inst.data else {
-            continue;
-        };
-        if !allocated.is_first_class_scalar() {
-            continue;
-        }
-        for (_, uid) in f.inst_ids() {
+    }
+    if order.is_empty() {
+        return order;
+    }
+    for &b in &f.block_order {
+        for &uid in &f.blocks[b as usize].insts {
             let user = f.inst(uid);
             for (oi, op) in user.operands.iter().enumerate() {
-                if *op != Value::Inst(id) {
+                let Value::Inst(id) = *op else { continue };
+                if !candidate.get(id as usize).copied().unwrap_or(false) {
                     continue;
                 }
                 let ok = match user.opcode {
@@ -68,13 +74,13 @@ fn promotable_allocas(f: &Function) -> Vec<InstId> {
                     _ => false,
                 };
                 if !ok {
-                    continue 'next;
+                    candidate[id as usize] = false;
                 }
             }
         }
-        candidates.push(id);
     }
-    candidates
+    order.retain(|&id| candidate[id as usize]);
+    order
 }
 
 /// Cooper's dominance-frontier computation.
@@ -101,6 +107,91 @@ fn dominance_frontiers(f: &Function, cfg: &Cfg, dom: &DomTree) -> Vec<HashSet<Bl
     df
 }
 
+/// State of the dominator-tree rename walk.
+struct Rename<'a> {
+    cfg: &'a Cfg,
+    children: &'a [Vec<BlockId>],
+    /// `slot[alloca]` indexes `stacks` and `types` for promoted allocas.
+    slot: &'a [Option<usize>],
+    /// `phis[block]`: the `(slot, phi)` pairs placed in that block.
+    phis: &'a [Vec<(usize, InstId)>],
+    types: &'a [Type],
+    stacks: Vec<Vec<Value>>,
+    /// `(load, value)`: each promoted load and the value it read.
+    replaced: Vec<(InstId, Value)>,
+    /// Promoted stores (loads are in `replaced`).
+    stores: Vec<InstId>,
+}
+
+impl Rename<'_> {
+    fn slot_of(&self, v: &Value) -> Option<usize> {
+        match v {
+            Value::Inst(a) => self.slot.get(*a as usize).copied().flatten(),
+            _ => None,
+        }
+    }
+
+    fn current(&self, s: usize) -> Value {
+        self.stacks[s]
+            .last()
+            .cloned()
+            .unwrap_or_else(|| Value::Undef(self.types[s].clone()))
+    }
+
+    fn walk(&mut self, f: &mut Function, block: BlockId) {
+        let mut pushed: Vec<usize> = Vec::new();
+
+        // Phis placed in this block define new current values.
+        for &(s, phi) in &self.phis[block as usize] {
+            self.stacks[s].push(Value::Inst(phi));
+            pushed.push(s);
+        }
+
+        for &id in &f.blocks[block as usize].insts {
+            if !f.is_live(id) {
+                continue;
+            }
+            let inst = f.inst(id);
+            match inst.opcode {
+                Opcode::Load => {
+                    if let Some(s) = self.slot_of(&inst.operands[0]) {
+                        self.replaced.push((id, self.current(s)));
+                    }
+                }
+                Opcode::Store => {
+                    if let Some(s) = self.slot_of(&inst.operands[1]) {
+                        self.stacks[s].push(inst.operands[0].clone());
+                        pushed.push(s);
+                        self.stores.push(id);
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        // Fill phi operands of successors.
+        for &succ in &self.cfg.succs[block as usize] {
+            for &(s, phi) in &self.phis[succ as usize] {
+                let current = self.current(s);
+                let inst = f.inst_mut(phi);
+                inst.operands.push(current);
+                match &mut inst.data {
+                    InstData::Phi { incoming } => incoming.push(block),
+                    _ => unreachable!(),
+                }
+            }
+        }
+
+        for &child in &self.children[block as usize] {
+            self.walk(f, child);
+        }
+
+        for s in pushed {
+            self.stacks[s].pop();
+        }
+    }
+}
+
 fn promote_function(f: &mut Function) -> bool {
     let allocas = promotable_allocas(f);
     if allocas.is_empty() {
@@ -120,147 +211,106 @@ fn promote_function(f: &mut Function) -> bool {
         }
     }
 
-    // Phase 1: phi placement on the iterated dominance frontier.
-    // phis[(block, alloca)] -> phi inst id
-    let mut phis: HashMap<(BlockId, InstId), InstId> = HashMap::new();
-    for &a in &allocas {
-        let ty = alloca_type(f, a);
-        let mut def_blocks: Vec<BlockId> = Vec::new();
-        for (b, id) in f.inst_ids() {
+    let mut slot: Vec<Option<usize>> = vec![None; f.insts.len()];
+    let mut types: Vec<Type> = Vec::with_capacity(allocas.len());
+    for (s, &a) in allocas.iter().enumerate() {
+        slot[a as usize] = Some(s);
+        match &f.inst(a).data {
+            InstData::Alloca { allocated, .. } => types.push(allocated.clone()),
+            _ => unreachable!("alloca id"),
+        }
+    }
+
+    // The blocks storing to each alloca, from one sweep.
+    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); allocas.len()];
+    for &b in &f.block_order {
+        for &id in &f.blocks[b as usize].insts {
             let inst = f.inst(id);
-            if inst.opcode == Opcode::Store && inst.operands[1] == Value::Inst(a) {
-                def_blocks.push(b);
+            if inst.opcode != Opcode::Store {
+                continue;
+            }
+            if let Value::Inst(a) = inst.operands[1] {
+                if let Some(&Some(s)) = slot.get(a as usize) {
+                    def_blocks[s].push(b);
+                }
             }
         }
+    }
+
+    // Phase 1: phi placement on the iterated dominance frontier.
+    let mut phis: Vec<Vec<(usize, InstId)>> = vec![Vec::new(); f.blocks.len()];
+    for (s, &a) in allocas.iter().enumerate() {
         let mut placed: HashSet<BlockId> = HashSet::new();
-        let mut work = def_blocks;
+        let mut work = std::mem::take(&mut def_blocks[s]);
         while let Some(b) = work.pop() {
             for &front in &df[b as usize] {
                 if placed.insert(front) {
                     let phi = f.insert_inst(
                         front,
                         0,
-                        Inst::new(Opcode::Phi, ty.clone(), vec![])
+                        Inst::new(Opcode::Phi, types[s].clone(), vec![])
                             .with_data(InstData::Phi {
                                 incoming: Vec::new(),
                             })
                             .with_name(format!("{}.ssa", f.inst(a).name)),
                     );
-                    phis.insert((front, a), phi);
+                    phis[front as usize].push((s, phi));
                     work.push(front);
                 }
             }
         }
     }
+    slot.resize(f.insts.len(), None);
 
-    // Phase 2: rename along the dominator tree.
-    let alloca_set: HashSet<InstId> = allocas.iter().copied().collect();
-    let mut stacks: HashMap<InstId, Vec<Value>> = allocas.iter().map(|&a| (a, vec![])).collect();
-    let mut to_remove: Vec<InstId> = Vec::new();
-    rename(
-        f,
-        f.entry(),
-        &cfg,
-        &children,
-        &alloca_set,
-        &phis,
-        &mut stacks,
-        &mut to_remove,
-    );
+    // Phase 2: rename along the dominator tree, recording each promoted
+    // load's value instead of rewriting its uses on the spot.
+    let mut rename = Rename {
+        cfg: &cfg,
+        children: &children,
+        slot: &slot,
+        phis: &phis,
+        types: &types,
+        stacks: vec![Vec::new(); allocas.len()],
+        replaced: Vec::new(),
+        stores: Vec::new(),
+    };
+    rename.walk(f, f.entry());
+    let Rename {
+        replaced, stores, ..
+    } = rename;
 
-    for id in to_remove {
-        f.remove_inst(id);
+    // Phase 3: substitute every promoted load in one sweep. A load's value
+    // may itself be an earlier promoted load (a stored loaded value), so
+    // values resolve in walk order, where defs precede their uses.
+    let mut value_of: Vec<Option<Value>> = vec![None; f.insts.len()];
+    for (load, v) in replaced.iter().cloned() {
+        let v = match v {
+            Value::Inst(d) => match value_of.get(d as usize) {
+                Some(Some(earlier)) => earlier.clone(),
+                _ => Value::Inst(d),
+            },
+            other => other,
+        };
+        value_of[load as usize] = Some(v);
     }
-    for a in &allocas {
-        f.remove_inst(*a);
-    }
-    true
-}
-
-fn alloca_type(f: &Function, a: InstId) -> Type {
-    match &f.inst(a).data {
-        InstData::Alloca { allocated, .. } => allocated.clone(),
-        _ => unreachable!("alloca id"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rename(
-    f: &mut Function,
-    block: BlockId,
-    cfg: &Cfg,
-    children: &[Vec<BlockId>],
-    allocas: &HashSet<InstId>,
-    phis: &HashMap<(BlockId, InstId), InstId>,
-    stacks: &mut HashMap<InstId, Vec<Value>>,
-    to_remove: &mut Vec<InstId>,
-) {
-    let mut pushed: Vec<InstId> = Vec::new();
-
-    // Phis placed in this block define new current values.
-    for (&(b, a), &phi) in phis.iter() {
-        if b == block {
-            stacks.get_mut(&a).unwrap().push(Value::Inst(phi));
-            pushed.push(a);
-        }
-    }
-
-    let inst_list: Vec<InstId> = f.blocks[block as usize].insts.clone();
-    for id in inst_list {
-        if !f.is_live(id) {
+    for (idx, inst) in f.insts.iter_mut().enumerate() {
+        if f.inst_removed[idx] {
             continue;
         }
-        let inst = f.inst(id);
-        match inst.opcode {
-            Opcode::Load => {
-                if let Value::Inst(a) = inst.operands[0] {
-                    if allocas.contains(&a) {
-                        let ty = alloca_type(f, a);
-                        let current = stacks[&a].last().cloned().unwrap_or(Value::Undef(ty));
-                        f.replace_all_uses(&Value::Inst(id), &current);
-                        to_remove.push(id);
-                    }
+        for op in &mut inst.operands {
+            if let Value::Inst(d) = op {
+                if let Some(Some(v)) = value_of.get(*d as usize) {
+                    *op = v.clone();
                 }
-            }
-            Opcode::Store => {
-                if let Value::Inst(a) = inst.operands[1] {
-                    if allocas.contains(&a) {
-                        let v = inst.operands[0].clone();
-                        stacks.get_mut(&a).unwrap().push(v);
-                        pushed.push(a);
-                        to_remove.push(id);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // Fill phi operands of successors.
-    for &succ in &cfg.succs[block as usize] {
-        for (&(b, a), &phi) in phis.iter() {
-            if b != succ {
-                continue;
-            }
-            let ty = alloca_type(f, a);
-            let current = stacks[&a].last().cloned().unwrap_or(Value::Undef(ty));
-            let inst = f.inst_mut(phi);
-            inst.operands.push(current);
-            match &mut inst.data {
-                InstData::Phi { incoming } => incoming.push(block),
-                _ => unreachable!(),
             }
         }
     }
 
-    let kids = children[block as usize].clone();
-    for child in kids {
-        rename(f, child, cfg, children, allocas, phis, stacks, to_remove);
-    }
-
-    for a in pushed {
-        stacks.get_mut(&a).unwrap().pop();
-    }
+    let mut dead: Vec<InstId> = replaced.iter().map(|(load, _)| *load).collect();
+    dead.extend(stores);
+    dead.extend(&allocas);
+    f.remove_insts(&dead);
+    true
 }
 
 #[cfg(test)]

@@ -149,26 +149,64 @@ impl Type {
     }
 }
 
-impl std::fmt::Display for Type {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// Append `v` in decimal, as `Display` for `u64` would, without building
+/// `fmt::Arguments`.
+pub(crate) fn write_decimal(w: &mut impl std::fmt::Write, mut v: u64) -> std::fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    w.write_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"))
+}
+
+impl Type {
+    /// Write the `Display` form straight to `w`. The printer calls this
+    /// once or twice per operand, where formatting each component through
+    /// `write!` was a visible share of a print.
+    pub(crate) fn write_to(&self, w: &mut impl std::fmt::Write) -> std::fmt::Result {
         match self {
-            Type::Void => write!(f, "void"),
-            Type::Int(w) => write!(f, "i{w}"),
-            Type::Float => write!(f, "float"),
-            Type::Double => write!(f, "double"),
-            Type::Ptr(p) => write!(f, "{p}*"),
-            Type::Array(n, e) => write!(f, "[{n} x {e}]"),
+            Type::Void => w.write_str("void"),
+            Type::Int(n) => {
+                w.write_char('i')?;
+                write_decimal(w, u64::from(*n))
+            }
+            Type::Float => w.write_str("float"),
+            Type::Double => w.write_str("double"),
+            Type::Ptr(p) => {
+                p.write_to(w)?;
+                w.write_char('*')
+            }
+            Type::Array(n, e) => {
+                w.write_char('[')?;
+                write_decimal(w, *n)?;
+                w.write_str(" x ")?;
+                e.write_to(w)?;
+                w.write_char(']')
+            }
             Type::Func { ret, params } => {
-                write!(f, "{ret} (")?;
+                ret.write_to(w)?;
+                w.write_str(" (")?;
                 for (i, p) in params.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ", ")?;
+                        w.write_str(", ")?;
                     }
-                    write!(f, "{p}")?;
+                    p.write_to(w)?;
                 }
-                write!(f, ")")
+                w.write_char(')')
             }
         }
+    }
+}
+
+impl std::fmt::Display for Type {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -190,6 +228,12 @@ mod tests {
         let a = Type::Float.array_of(8).array_of(4);
         assert_eq!(a.to_string(), "[4 x [8 x float]]");
         assert_eq!(a.ptr_to().to_string(), "[4 x [8 x float]]*");
+        let f = Type::Func {
+            ret: Box::new(Type::Void),
+            params: vec![Type::I32, Type::Double.ptr_to()],
+        };
+        assert_eq!(f.ptr_to().to_string(), "void (i32, double*)*");
+        assert_eq!(Type::Int(128).array_of(0).to_string(), "[0 x i128]");
     }
 
     #[test]

@@ -57,7 +57,56 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<()> {
     verify_function_diag(m, f).map_err(crate::Error::from)
 }
 
+/// Where each placed instruction sits: its first `(block, position)` in
+/// layout order, the answer `Function::block_of` gives, built in one sweep.
+struct Placement(Vec<(BlockId, u32)>);
+
+const UNPLACED: (BlockId, u32) = (BlockId::MAX, u32::MAX);
+
+impl Placement {
+    fn build(f: &Function) -> Placement {
+        let mut at = vec![UNPLACED; f.insts.len()];
+        for &b in &f.block_order {
+            for (pos, &i) in f.blocks[b as usize].insts.iter().enumerate() {
+                if let Some(slot) = at.get_mut(i as usize) {
+                    if *slot == UNPLACED {
+                        *slot = (b, pos as u32);
+                    }
+                }
+            }
+        }
+        Placement(at)
+    }
+
+    fn of(&self, id: InstId) -> Option<(BlockId, u32)> {
+        Some(self.0[id as usize]).filter(|&p| p != UNPLACED)
+    }
+
+    /// First position of `id` within block `b`, which contains it.
+    fn position_in(&self, f: &Function, b: BlockId, id: InstId) -> u32 {
+        match self.of(id) {
+            Some((pb, pos)) if pb == b => pos,
+            // Also placed in an earlier block: only a scan finds this one.
+            _ => f.blocks[b as usize]
+                .insts
+                .iter()
+                .position(|&x| x == id)
+                .map_or(u32::MAX, |p| p as u32),
+        }
+    }
+}
+
+/// Live instructions in layout order, without collecting them.
+fn placed(f: &Function) -> impl Iterator<Item = (BlockId, InstId)> + '_ {
+    f.block_order
+        .iter()
+        .flat_map(move |&b| f.blocks[b as usize].insts.iter().map(move |&i| (b, i)))
+}
+
 /// Verify a single function definition.
+///
+/// Each check is one sweep over the function: operand placement comes from
+/// one (block, position) index and operand types are borrowed, not cloned.
 pub fn verify_function_diag(m: &Module, f: &Function) -> PassResult<()> {
     let err = |msg: String| Err(diag(msg, Loc::function(&f.name)));
     let berr = |b: BlockId, msg: String| {
@@ -65,6 +114,11 @@ pub fn verify_function_diag(m: &Module, f: &Function) -> PassResult<()> {
             msg,
             Loc::function(&f.name).in_block(&f.blocks[b as usize].name),
         ))
+    };
+    let iloc = |b: BlockId, id: InstId| {
+        Loc::function(&f.name)
+            .in_block(&f.blocks[b as usize].name)
+            .at_inst(format!("%{id}"))
     };
 
     if f.block_order.is_empty() {
@@ -102,17 +156,18 @@ pub fn verify_function_diag(m: &Module, f: &Function) -> PassResult<()> {
         }
     }
     let cfg = Cfg::build(f);
-    // PHI edges must exactly match predecessors.
+    // PHI edges must exactly match predecessors (as sets).
     for &b in &f.block_order {
-        let preds: HashSet<u32> = cfg.preds[b as usize].iter().copied().collect();
+        let preds = &cfg.preds[b as usize];
         for &i in &f.blocks[b as usize].insts {
             let inst = f.inst(i);
             if let InstData::Phi { incoming } = &inst.data {
                 if inst.operands.len() != incoming.len() {
                     return berr(b, format!("phi %{i} operand/block count mismatch"));
                 }
-                let inc: HashSet<u32> = incoming.iter().copied().collect();
-                if inc != preds {
+                if !incoming.iter().all(|x| preds.contains(x))
+                    || !preds.iter().all(|p| incoming.contains(p))
+                {
                     return berr(
                         b,
                         format!("phi %{i} incoming blocks do not match predecessors"),
@@ -122,87 +177,72 @@ pub fn verify_function_diag(m: &Module, f: &Function) -> PassResult<()> {
         }
     }
     // Operand sanity + type rules.
-    for (b, id) in f.inst_ids() {
+    for (b, id) in placed(f) {
         verify_inst(m, f, b, id)?;
     }
     // Defs dominate uses (phi uses checked at the incoming edge).
+    let place = Placement::build(f);
     let dom = DomTree::build(f, &cfg);
-    for (b, id) in f.inst_ids() {
+    for (b, id) in placed(f) {
         let inst = f.inst(id);
-        let iloc = || {
-            Loc::function(&f.name)
-                .in_block(&f.blocks[b as usize].name)
-                .at_inst(format!("%{id}"))
+        let phi_edges = match &inst.data {
+            InstData::Phi { incoming } => Some(incoming),
+            _ => None,
         };
         for (oi, op) in inst.operands.iter().enumerate() {
             let Value::Inst(def) = op else { continue };
             if !f.is_live(*def) {
-                return Err(diag(format!("use of removed instruction %{def}"), iloc()));
+                return Err(diag(
+                    format!("use of removed instruction %{def}"),
+                    iloc(b, id),
+                ));
             }
-            let Some(def_block) = f.block_of(*def) else {
-                return Err(diag(format!("use of unplaced instruction %{def}"), iloc()));
+            let Some((def_block, def_pos)) = place.of(*def) else {
+                return Err(diag(
+                    format!("use of unplaced instruction %{def}"),
+                    iloc(b, id),
+                ));
             };
-            let use_block = match &inst.data {
-                InstData::Phi { incoming } => incoming[oi],
-                _ => b,
-            };
-            let ok = if def_block == use_block && !matches!(inst.data, InstData::Phi { .. }) {
+            let ok = match phi_edges {
+                Some(incoming) => dom.dominates(def_block, incoming[oi]),
                 // Same-block ordering.
-                let blk = &f.blocks[b as usize].insts;
-                let dpos = blk.iter().position(|&x| x == *def);
-                let upos = blk.iter().position(|&x| x == id);
-                match (dpos, upos) {
-                    (Some(d), Some(u)) => d < u,
-                    _ => false,
-                }
-            } else {
-                dom.dominates(def_block, use_block)
+                None if def_block == b => def_pos < place.position_in(f, b, id),
+                None => dom.dominates(def_block, b),
             };
             if !ok {
                 return Err(diag(
                     format!("use of %{def} is not dominated by its def"),
-                    iloc(),
+                    iloc(b, id),
                 ));
             }
         }
     }
     // Metadata references in range.
-    for (b, id) in f.inst_ids() {
-        let iloc = || {
-            Loc::function(&f.name)
-                .in_block(&f.blocks[b as usize].name)
-                .at_inst(format!("%{id}"))
-        };
-        if let Some(md) = f.inst(id).loop_md {
+    for (b, id) in placed(f) {
+        let inst = f.inst(id);
+        if let Some(md) = inst.loop_md {
             if md as usize >= m.loop_mds.len() {
                 return Err(diag(
                     format!("references out-of-range loop metadata !{md}"),
-                    iloc(),
+                    iloc(b, id),
                 ));
             }
-            if !f.inst(id).is_terminator() {
+            if !inst.is_terminator() {
                 return Err(diag(
                     "loop metadata on a non-terminator".to_string(),
-                    iloc(),
+                    iloc(b, id),
                 ));
             }
         }
     }
     // Return types.
-    for (b, id) in f.inst_ids() {
+    for (b, id) in placed(f) {
         let inst = f.inst(id);
         if inst.opcode == Opcode::Ret {
             match (inst.operands.first(), &f.ret_ty) {
                 (None, Type::Void) => {}
-                (Some(v), ty) if &f.value_type(m, v) == ty => {}
-                _ => {
-                    return Err(diag(
-                        "ret type mismatch".to_string(),
-                        Loc::function(&f.name)
-                            .in_block(&f.blocks[b as usize].name)
-                            .at_inst(format!("%{id}")),
-                    ))
-                }
+                (Some(v), ty) if *f.value_type_ref(m, v) == *ty => {}
+                _ => return Err(diag("ret type mismatch".to_string(), iloc(b, id))),
             }
         }
     }
@@ -219,13 +259,13 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
                 .at_inst(format!("%{id}")),
         ))
     };
-    let op_ty = |i: usize| f.value_type(m, &inst.operands[i]);
+    let op_ty = |i: usize| f.value_type_ref(m, &inst.operands[i]);
     match inst.opcode {
         op if op.is_int_binop() => {
             if inst.operands.len() != 2 {
                 return err("binary op needs 2 operands".into());
             }
-            if !inst.ty.is_int() || op_ty(0) != inst.ty || op_ty(1) != inst.ty {
+            if !inst.ty.is_int() || *op_ty(0) != inst.ty || *op_ty(1) != inst.ty {
                 return err(format!("integer binop type mismatch ({})", inst.ty));
             }
         }
@@ -233,7 +273,7 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
             if inst.operands.len() != 2 || !inst.ty.is_float() {
                 return err("float binop malformed".into());
             }
-            if op_ty(0) != inst.ty || op_ty(1) != inst.ty {
+            if *op_ty(0) != inst.ty || *op_ty(1) != inst.ty {
                 return err("float binop operand type mismatch".into());
             }
         }
@@ -262,7 +302,7 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
             let vt = op_ty(0);
             let pt = op_ty(1);
             match pt.pointee() {
-                Some(p) if *p == vt => {}
+                Some(p) if *p == *vt => {}
                 _ => return err(format!("store type {vt} through pointer {pt}")),
             }
         }
@@ -276,12 +316,19 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
                 _ => return err(format!("gep base type {base_ty} vs pointer {pt}")),
             }
             for idx in &inst.operands[1..] {
-                if !f.value_type(m, idx).is_int() {
+                if !f.value_type_ref(m, idx).is_int() {
                     return err("gep index must be an integer".into());
                 }
             }
-            let expect = crate::builder::gep_result_type(base_ty, inst.operands.len());
-            if expect != inst.ty {
+            // Each index after the first steps into one array dimension.
+            let mut elem = base_ty;
+            for _ in 1..inst.operands.len() {
+                if let Type::Array(_, e) = elem {
+                    elem = e;
+                }
+            }
+            if inst.ty.pointee() != Some(elem) {
+                let expect = crate::builder::gep_result_type(base_ty, inst.operands.len());
                 return err(format!("gep result {} but computed {}", inst.ty, expect));
             }
         }
@@ -289,7 +336,7 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
             let InstData::Alloca { allocated, .. } = &inst.data else {
                 return err("alloca without payload".into());
             };
-            if inst.ty != allocated.ptr_to() {
+            if inst.ty.pointee() != Some(allocated) {
                 return err("alloca result type mismatch".into());
             }
         }
@@ -303,7 +350,7 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
                         return err(format!("call @{callee}: arity mismatch"));
                     }
                     for (i, p) in target.params.iter().enumerate() {
-                        if op_ty(i) != p.ty {
+                        if *op_ty(i) != p.ty {
                             return err(format!("call @{callee}: argument {i} type mismatch"));
                         }
                     }
@@ -313,12 +360,14 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
                 }
             }
         }
-        Opcode::Select if (op_ty(0) != Type::I1 || op_ty(1) != inst.ty || op_ty(2) != inst.ty) => {
+        Opcode::Select
+            if (*op_ty(0) != Type::I1 || *op_ty(1) != inst.ty || *op_ty(2) != inst.ty) =>
+        {
             return err("select type mismatch".into());
         }
         Opcode::Phi => {
             for op in &inst.operands {
-                if f.value_type(m, op) != inst.ty {
+                if *f.value_type_ref(m, op) != inst.ty {
                     return err("phi operand type mismatch".into());
                 }
             }
@@ -340,8 +389,8 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
                         && to.is_int()
                         && from.int_width().unwrap() > to.int_width().unwrap()
                 }
-                Opcode::FPExt => from == Type::Float && *to == Type::Double,
-                Opcode::FPTrunc => from == Type::Double && *to == Type::Float,
+                Opcode::FPExt => *from == Type::Float && *to == Type::Double,
+                Opcode::FPTrunc => *from == Type::Double && *to == Type::Float,
                 Opcode::FPToSI => from.is_float() && to.is_int(),
                 Opcode::SIToFP => from.is_int() && to.is_float(),
                 Opcode::PtrToInt => from.is_ptr() && to.is_int(),
@@ -353,7 +402,7 @@ fn verify_inst(m: &Module, f: &Function, b: BlockId, id: InstId) -> PassResult<(
                 return err(format!("invalid cast {} -> {}", from, inst.ty));
             }
         }
-        Opcode::CondBr if op_ty(0) != Type::I1 => {
+        Opcode::CondBr if *op_ty(0) != Type::I1 => {
             return err("conditional branch condition must be i1".into());
         }
         Opcode::Br | Opcode::Ret | Opcode::Unreachable => {}
