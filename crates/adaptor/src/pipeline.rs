@@ -145,8 +145,8 @@ pub fn run_adaptor(m: &mut Module, cfg: &AdaptorConfig) -> Result<AdaptorReport>
 /// [`run_adaptor`] under a [`pass_core::Budget`]: each legalization pass
 /// (and the compat gate) charges one fuel unit and checks the deadline, so
 /// a budgeted caller gets a structured trip (the `budget` diagnostic,
-/// recoverable with `BudgetError::from_rendered`) instead of an unbounded
-/// pipeline run.
+/// recoverable with `BudgetError::from_diagnostic`) instead of an
+/// unbounded pipeline run.
 pub fn run_adaptor_budgeted(
     m: &mut Module,
     cfg: &AdaptorConfig,
@@ -393,7 +393,7 @@ func.func @gemm(%A: memref<4x4xf32>, %B: memref<4x4xf32>, %C: memref<4x4xf32>) a
     #[test]
     fn fuel_budget_trips_adaptor_with_recoverable_error() {
         let mut m = lowered_gemm();
-        let budget = pass_core::Budget::unlimited().with_fuel(2);
+        let budget = pass_core::Budget::from_limits(None, Some(2));
         let err = run_adaptor_budgeted(&mut m, &AdaptorConfig::default(), &budget).unwrap_err();
         let trip = pass_core::BudgetError::from_rendered(&err.to_string())
             .expect("budget trip survives the llvm-lite error channel");

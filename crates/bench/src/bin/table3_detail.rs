@@ -9,7 +9,7 @@
 //! * C++ flow: structured GEPs after the frontend re-derives them, plus the
 //!   frontend-introduced temporaries (extra IR the detour manufactures).
 
-use driver::{run_flow, Directives, Flow};
+use driver::{flow::prepare_mlir, run_flow, Directives, Flow};
 use hls_bench::render_table;
 use llvm_lite::{InstData, Opcode, Type};
 
@@ -43,7 +43,7 @@ fn main() {
     for k in kernels::all_kernels() {
         let adaptor = run_flow(k, &d, Flow::Adaptor).expect("adaptor flow");
         let cpp = run_flow(k, &d, Flow::Cpp).expect("cpp flow");
-        let s = &adaptor.mlir_stats;
+        let s = mlir_lite::stats::module_stats(&prepare_mlir(k, &d).expect("parse"));
         let (a_struct, a_flat) = structured_geps(&adaptor.module);
         let (c_struct, c_flat) = structured_geps(&cpp.module);
         let a_insts = adaptor

@@ -46,16 +46,17 @@ use kernels::Kernel;
 use pass_core::json::JsonValue;
 use pass_core::report::json_str;
 use pass_core::{Budget, BudgetError, PipelineReport};
-use vitis_sim::{csynth_budgeted, CsynthReport, Target};
+use vitis_sim::{csynth_budgeted, CsynthError, CsynthReport, Target};
 
 use crate::cache::{self, Cache, CacheError, CacheKey, KeyBuilder, Lookup};
 use crate::cosim::cosim;
 use crate::experiment::Directives;
-use crate::flow::{run_flow_on_text, Flow};
+use crate::flow::{prepare_mlir_text, Flow, FlowError};
 use crate::supervisor::{
     ChaosConfig, ChaosEngine, ChaosFault, FaultClass, Journal, JournalError, JournalOutcomes,
     RetryPolicy, StageError,
 };
+use crate::DriverError;
 
 /// Everything that configures one batch run.
 #[derive(Clone, Debug)]
@@ -130,19 +131,6 @@ impl BatchOptions {
             .unwrap_or(1);
         let jobs = if self.jobs == 0 { auto } else { self.jobs };
         jobs.clamp(1, n_kernels.max(1))
-    }
-
-    /// One pipeline attempt's budget, built fresh from the options so a
-    /// degraded fallback is not charged for the failed adaptor attempt.
-    fn fresh_budget(&self) -> Budget {
-        let mut b = Budget::unlimited();
-        if let Some(ms) = self.deadline_ms {
-            b = b.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(units) = self.fuel {
-            b = b.with_fuel(units);
-        }
-        b
     }
 }
 
@@ -743,11 +731,12 @@ impl BatchCtx<'_> {
             }
             Some(ChaosFault::FuelExhaustion) => {
                 budget.exhaust_fuel();
-                Err(budget_trip(BudgetError::new(
+                Err(BudgetError::new(
                     pass_core::BudgetKind::Fuel,
                     site,
                     "chaos: injected fuel exhaustion",
-                )))
+                )
+                .into())
             }
             Some(ChaosFault::AdaptorReject) => Err(StageError::Fault {
                 stage: "flow".to_string(),
@@ -846,12 +835,12 @@ impl BatchCtx<'_> {
     }
 }
 
-/// Lift a [`BudgetError`] into the batch's [`StageError`] vocabulary.
-fn budget_trip(e: BudgetError) -> StageError {
-    StageError::BudgetExceeded {
-        stage: e.stage,
-        kind: e.kind,
-        detail: e.detail,
+/// A deterministic fault of `stage`: the same input fails the same way.
+fn fault(stage: &str, e: impl ToString) -> StageError {
+    StageError::Fault {
+        stage: stage.to_string(),
+        class: FaultClass::Deterministic,
+        detail: e.to_string(),
     }
 }
 
@@ -867,7 +856,9 @@ fn run_pipeline(
 ) -> Result<KernelArtifacts, StageError> {
     let opts = ctx.opts;
     let name = src.name();
-    let budget = opts.fresh_budget();
+    // Fresh per attempt, so a degraded fallback is not charged for the
+    // failed adaptor attempt.
+    let budget = Budget::from_limits(opts.deadline_ms, opts.fuel);
     let mut report = PipelineReport::new("batch");
     let mut hits = 0usize;
     let mut misses = 0usize;
@@ -893,10 +884,12 @@ fn run_pipeline(
         Some(text) => text,
         None => {
             misses += 1;
-            let art =
-                run_flow_on_text(name, mlir, &opts.directives, flow, &budget).map_err(|e| {
-                    StageError::classify("flow", &e.to_string(), FaultClass::Deterministic)
-                })?;
+            let m =
+                prepare_mlir_text(name, mlir, &opts.directives).map_err(|e| fault("flow", e))?;
+            let art = fuzzing::flow::run(m, flow, &budget, &mut |_| {}).map_err(|e| match e {
+                FlowError::Budget { trip, .. } => trip.into(),
+                e => fault("flow", DriverError::from(e)),
+            })?;
             report.extend_prefixed("flow", &art.report);
             let text = llvm_lite::printer::print_module(&art.module);
             ctx.keep(name, "flow", &flow_key, &text);
@@ -946,11 +939,7 @@ fn run_pipeline(
     };
 
     let module = if cached_csynth.is_none() || (cosim_key.is_some() && cached_cosim.is_none()) {
-        Some(
-            llvm_lite::parser::parse_module(name, &module_text).map_err(|e| {
-                StageError::classify("parse", &e.to_string(), FaultClass::Deterministic)
-            })?,
-        )
+        Some(llvm_lite::parser::parse_module(name, &module_text).map_err(|e| fault("parse", e))?)
     } else {
         None
     };
@@ -963,8 +952,9 @@ fn run_pipeline(
                 .time_stage("csynth", || {
                     csynth_budgeted(module.as_ref().unwrap(), &opts.target, &budget)
                 })
-                .map_err(|e| {
-                    StageError::classify("csynth", &e.to_string(), FaultClass::Deterministic)
+                .map_err(|e| match e {
+                    CsynthError::Budget(trip) => trip.into(),
+                    e => fault("csynth", e),
                 })?;
             ctx.keep(name, "csynth", &csynth_key, &cache::encode_csynth(&r));
             r
@@ -974,12 +964,10 @@ fn run_pipeline(
         (_, _, Some(r)) => r,
         (Source::Suite(k), Some(cosim_key), None) => {
             misses += 1;
-            budget.charge(1, "cosim").map_err(budget_trip)?;
+            budget.charge(1, "cosim")?;
             let r = report
                 .time_stage("cosim", || cosim(module.as_ref().unwrap(), k, opts.seed))
-                .map_err(|e| {
-                    StageError::classify("cosim", &e.to_string(), FaultClass::Deterministic)
-                })?;
+                .map_err(|e| fault("cosim", e))?;
             ctx.keep(name, "cosim", &cosim_key, &cache::encode_cosim(&r));
             r
         }

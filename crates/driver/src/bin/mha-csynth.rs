@@ -10,9 +10,7 @@
 //! [`pass_core::Budget`]; an exhausted budget surfaces as a structured
 //! `budget exceeded` failure instead of a hang.
 
-use std::time::Duration;
-
-use driver::{cosim, run_flow_budgeted, Directives, Flow};
+use driver::{cosim, run_flow_on_text, Directives, Flow};
 use pass_core::Budget;
 use vitis_sim::{csynth_budgeted, Target};
 
@@ -40,16 +38,6 @@ fn main() {
     };
     let deadline_ms = parse_flag(&args, "--deadline-ms");
     let fuel = parse_flag(&args, "--fuel");
-    let budget_for_attempt = || {
-        let mut b = Budget::unlimited();
-        if let Some(ms) = deadline_ms {
-            b = b.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(units) = fuel {
-            b = b.with_fuel(units);
-        }
-        b
-    };
     let flow_sel = args
         .iter()
         .position(|a| a == "--flow")
@@ -79,8 +67,8 @@ fn main() {
         for &flow in &flows {
             // One budget per (kernel, flow) attempt: the flow stages and
             // synthesis draw from the same deadline and fuel pool.
-            let budget = budget_for_attempt();
-            let art = match run_flow_budgeted(k, &directives, flow, &budget) {
+            let budget = Budget::from_limits(deadline_ms, fuel);
+            let art = match run_flow_on_text(k.name, k.mlir, &directives, flow, &budget) {
                 Ok(a) => a,
                 Err(e) => {
                     println!("  [{}] flow failed: {e}", flow.label());

@@ -1,68 +1,27 @@
 //! The two competing flows from one kernel definition.
+//!
+//! The flows themselves are defined once, in [`fuzzing::flow`]; this
+//! module parses a kernel or raw MLIR text, applies the directives, and
+//! hands the module to [`fuzzing::flow::run`].
 
-use adaptor::{AdaptorConfig, AdaptorReport};
 use kernels::Kernel;
 use mlir_lite::dialects::hls;
 use mlir_lite::MlirModule;
-use pass_core::PipelineReport;
+use pass_core::Budget;
 
-use crate::{DriverError, Result};
+pub use fuzzing::flow::{Flow, FlowArtifacts, FlowError};
 
-/// Which path from MLIR to HLS-ready LLVM IR.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Flow {
-    /// Direct IR translation + the paper's adaptor.
-    Adaptor,
-    /// Emit HLS C++, re-compile with the Vitis-stand-in frontend.
-    Cpp,
-}
-
-impl Flow {
-    /// Display name used in tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Flow::Adaptor => "adaptor",
-            Flow::Cpp => "hls-c++",
-        }
-    }
-}
-
-/// Everything a flow run produces.
-pub struct FlowArtifacts {
-    /// The HLS-ready module.
-    pub module: llvm_lite::Module,
-    /// Adaptor pass report (adaptor flow only).
-    pub adaptor_report: Option<AdaptorReport>,
-    /// Generated C++ (C++ flow only).
-    pub cpp_source: Option<String>,
-    /// Per-stage timing of the MLIR→HLS-ready-IR conversion.
-    pub report: PipelineReport,
-    /// MLIR-level structure statistics of the input (for Table 3).
-    pub mlir_stats: mlir_lite::stats::ModuleStats,
-}
-
-impl FlowArtifacts {
-    /// Total conversion wall-clock time, microseconds.
-    pub fn elapsed_us(&self) -> u64 {
-        self.report.total_us()
-    }
-}
+use crate::experiment::Directives;
+use crate::Result;
 
 /// Parse a kernel into MLIR and apply directives.
-pub fn prepare_mlir(
-    kernel: &Kernel,
-    directives: &crate::experiment::Directives,
-) -> Result<MlirModule> {
+pub fn prepare_mlir(kernel: &Kernel, directives: &Directives) -> Result<MlirModule> {
     prepare_mlir_text(kernel.name, kernel.mlir, directives)
 }
 
 /// [`prepare_mlir`] over raw MLIR text — the entry point for sources that
 /// are not suite [`Kernel`]s (fuzzer output, `mha-serve` request bodies).
-pub fn prepare_mlir_text(
-    name: &str,
-    mlir: &str,
-    directives: &crate::experiment::Directives,
-) -> Result<MlirModule> {
+pub fn prepare_mlir_text(name: &str, mlir: &str, directives: &Directives) -> Result<MlirModule> {
     let mut m = mlir_lite::parser::parse_module(name, mlir)?;
     mlir_lite::verifier::verify_module(&m)?;
     if let Some(ii) = directives.pipeline_ii {
@@ -100,93 +59,29 @@ pub fn prepare_mlir_text(
 }
 
 /// Run one flow over a kernel.
-pub fn run_flow(
-    kernel: &Kernel,
-    directives: &crate::experiment::Directives,
-    flow: Flow,
-) -> Result<FlowArtifacts> {
-    run_flow_budgeted(kernel, directives, flow, &pass_core::Budget::unlimited())
+pub fn run_flow(kernel: &Kernel, directives: &Directives, flow: Flow) -> Result<FlowArtifacts> {
+    let unlimited = Budget::unlimited();
+    run_flow_on_text(kernel.name, kernel.mlir, directives, flow, &unlimited)
 }
 
-/// [`run_flow`] under a [`pass_core::Budget`]: every stage boundary
-/// (lower, adaptor, emit-cpp, frontend) charges one fuel unit and checks
-/// the deadline, and the pass pipelines inside (adaptor legalization, C++
-/// cleanup fixpoint) run budgeted too. A trip surfaces through
-/// [`DriverError`]'s string channel but keeps the stable budget grammar, so
-/// `pass_core::BudgetError::from_rendered` recovers it structurally.
-pub fn run_flow_budgeted(
-    kernel: &Kernel,
-    directives: &crate::experiment::Directives,
-    flow: Flow,
-    budget: &pass_core::Budget,
-) -> Result<FlowArtifacts> {
-    run_flow_on_text(kernel.name, kernel.mlir, directives, flow, budget)
-}
-
-/// [`run_flow_budgeted`] over raw MLIR text: the same staged, budgeted
-/// pipeline, but sourced from a `(name, mlir)` pair instead of a suite
-/// [`Kernel`]. This is what `mha-serve` compiles request bodies through,
-/// and what the fuzzing oracles effectively re-implement.
+/// [`prepare_mlir_text`] then [`fuzzing::flow::run`] under `budget`, for a
+/// `(name, mlir)` pair. A failure, a budget trip included, becomes
+/// [`crate::DriverError`] text; a caller that classifies failures calls
+/// the two halves and matches on [`FlowError`].
 pub fn run_flow_on_text(
     name: &str,
     mlir: &str,
-    directives: &crate::experiment::Directives,
+    directives: &Directives,
     flow: Flow,
-    budget: &pass_core::Budget,
+    budget: &Budget,
 ) -> Result<FlowArtifacts> {
-    let charge = |stage: &str| -> Result<()> {
-        budget
-            .charge(1, stage)
-            .map_err(|e| DriverError::from(e.to_diagnostic()))
-    };
     let m = prepare_mlir_text(name, mlir, directives)?;
-    let mlir_stats = mlir_lite::stats::module_stats(&m);
-    let mut report = PipelineReport::new(flow.label());
-    match flow {
-        Flow::Adaptor => {
-            charge("flow/lower")?;
-            let mut module =
-                report.time_stage("lower", || lowering::lower(m).map_err(DriverError::from))?;
-            let adaptor_report = report.time_stage("adaptor", || {
-                adaptor::run_adaptor_budgeted(&mut module, &AdaptorConfig::default(), budget)
-                    .map_err(DriverError::from)
-            })?;
-            Ok(FlowArtifacts {
-                module,
-                adaptor_report: Some(adaptor_report),
-                cpp_source: None,
-                report,
-                mlir_stats,
-            })
-        }
-        Flow::Cpp => {
-            charge("flow/emit-cpp")?;
-            let cpp = report.time_stage("emit-cpp", || {
-                hls_cpp::emit_cpp(&m).map_err(DriverError::from)
-            })?;
-            charge("flow/frontend")?;
-            let mut module = report.time_stage("frontend", || {
-                hls_cpp::compile_cpp(name, &cpp).map_err(DriverError::from)
-            })?;
-            let cleanup = llvm_lite::transforms::standard_cleanup()
-                .run_to_fixpoint_budgeted(&mut module, 4, budget)
-                .map_err(DriverError::from)?;
-            report.extend_prefixed("cleanup", &cleanup);
-            Ok(FlowArtifacts {
-                module,
-                adaptor_report: None,
-                cpp_source: Some(cpp),
-                report,
-                mlir_stats,
-            })
-        }
-    }
+    Ok(fuzzing::flow::run(m, flow, budget, &mut |_| {})?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Directives;
 
     #[test]
     fn both_flows_produce_synthesis_ready_modules() {

@@ -9,6 +9,14 @@
 //!                        vitis-sim csynth + co-simulation
 //! ```
 //!
+//! The flows themselves are defined once, in `fuzzing::flow` (re-exported
+//! here as [`Flow`], [`FlowArtifacts`] and [`FlowError`]); [`flow`] adds
+//! kernel parsing and directive application in front of them. A flow
+//! failure is typed: the batch engine turns [`FlowError::Budget`] into
+//! [`StageError::BudgetExceeded`] with a `match`, and every other
+//! [`FlowError`] into a deterministic fault whose detail is the
+//! [`DriverError`] text.
+//!
 //! The driver also hosts the experiment harness used by the bench binaries:
 //! it runs kernels through both flows (in parallel with rayon), co-simulates
 //! against the reference implementations, and collects csynth reports and
@@ -47,7 +55,7 @@ pub use cache::{Cache, CacheError};
 pub use corpus::{Corpus, CorpusEntry};
 pub use cosim::{cosim, CosimResult};
 pub use experiment::{run_experiment, run_suite, Directives, ExperimentRow};
-pub use flow::{run_flow, run_flow_budgeted, run_flow_on_text, Flow, FlowArtifacts};
+pub use flow::{run_flow, run_flow_on_text, Flow, FlowArtifacts, FlowError};
 pub use lint::{lint_kernel, LintReport};
 pub use resilience::{
     Breaker, BreakerConfig, BreakerDecision, FairQueue, FairQueueConfig, Shed, ShedClass,
@@ -93,6 +101,21 @@ impl From<llvm_lite::Error> for DriverError {
 impl From<hls_cpp::Error> for DriverError {
     fn from(e: hls_cpp::Error) -> Self {
         DriverError(format!("cpp-flow: {e}"))
+    }
+}
+
+/// A flow failure reads like every other `DriverError`: the failing
+/// layer's prefix (`mlir:`, `llvm:`, `cpp-flow:`), then its own message.
+/// A budget trip renders as its `budget` diagnostic.
+impl From<FlowError> for DriverError {
+    fn from(e: FlowError) -> Self {
+        match e {
+            FlowError::Budget { trip, .. } => trip.to_diagnostic().into(),
+            FlowError::Lower(e) => e.into(),
+            FlowError::Adaptor(e) => e.into(),
+            FlowError::EmitCpp(e) | FlowError::Frontend(e) => e.into(),
+            FlowError::Cleanup(d) => d.into(),
+        }
     }
 }
 

@@ -113,25 +113,6 @@ pub enum StageError {
 }
 
 impl StageError {
-    /// Classify a rendered error from `stage`: budget trips (recognized by
-    /// their stable grammar anywhere in the text) become
-    /// [`StageError::BudgetExceeded`]; everything else becomes a fault of
-    /// the given `class`.
-    pub fn classify(stage: &str, rendered: &str, class: FaultClass) -> StageError {
-        match BudgetError::from_rendered(rendered) {
-            Some(trip) => StageError::BudgetExceeded {
-                stage: trip.stage,
-                kind: trip.kind,
-                detail: trip.detail,
-            },
-            None => StageError::Fault {
-                stage: stage.to_string(),
-                class,
-                detail: rendered.to_string(),
-            },
-        }
-    }
-
     /// The stage that failed.
     pub fn stage(&self) -> &str {
         match self {
@@ -232,8 +213,8 @@ impl StageError {
 impl fmt::Display for StageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            // Keep the stable budget grammar so the rendered form still
-            // parses back via `BudgetError::from_rendered`.
+            // Keep the stable budget grammar: clients read the trip back
+            // out of the service's `rendered` field.
             StageError::BudgetExceeded {
                 stage,
                 kind,
@@ -257,6 +238,16 @@ impl fmt::Display for StageError {
 }
 
 impl std::error::Error for StageError {}
+
+impl From<BudgetError> for StageError {
+    fn from(e: BudgetError) -> StageError {
+        StageError::BudgetExceeded {
+            stage: e.stage,
+            kind: e.kind,
+            detail: e.detail,
+        }
+    }
+}
 
 /// Exponential-backoff retry for transient faults.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -819,13 +810,9 @@ mod tests {
 
     #[test]
     fn stage_error_classification_and_json_round_trip() {
-        // A budget trip hidden in rendered text is recovered structurally.
+        // A budget trip lifts field for field.
         let trip = BudgetError::new(BudgetKind::Fuel, "csynth/schedule", "pool empty");
-        let e = StageError::classify(
-            "csynth",
-            &format!("csynth failed: {trip}"),
-            FaultClass::Deterministic,
-        );
+        let e = StageError::from(trip);
         assert_eq!(
             e,
             StageError::BudgetExceeded {
@@ -836,8 +823,12 @@ mod tests {
         );
         assert!(e.is_budget());
         assert_eq!(e.class_label(), "budget-fuel");
-        // Ordinary errors keep their class.
-        let f = StageError::classify("flow", "no such kernel", FaultClass::Deterministic);
+        // Ordinary faults keep their class.
+        let f = StageError::Fault {
+            stage: "flow".to_string(),
+            class: FaultClass::Deterministic,
+            detail: "no such kernel".to_string(),
+        };
         assert_eq!(f.class_label(), "deterministic");
         assert!(!f.is_budget());
         // Worker crashes carry their own label and optional peak RSS.

@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use fuzzing::{run_legality_oracle, run_oracles, CampaignOpts, Failure, OracleKind, OracleOpts};
+use fuzzing::{run_all, CampaignOpts, Failure, OracleKind};
 use pass_core::json::{self, JsonValue};
 use pass_core::report::json_str;
 use pass_core::BudgetKind;
@@ -985,19 +985,16 @@ fn child_oracle(v: &JsonValue) -> String {
     let src = v.get("source").and_then(|x| x.as_str()).unwrap_or_default();
     let seed = v.get("seed").and_then(|x| x.as_u64()).unwrap_or(0);
     let legality = v.get("legality").and_then(|x| x.as_bool()).unwrap_or(false);
-    let mut oopts = OracleOpts::default();
+    let mut opts = CampaignOpts {
+        legality,
+        ..CampaignOpts::default()
+    };
     if let Some(n) = v.get("step_limit").and_then(|x| x.as_u64()) {
-        oopts.step_limit = n;
+        opts.oracle.step_limit = n;
     }
-    oopts.fuel = v.get("fuel").and_then(|x| x.as_u64());
-    oopts.deadline_ms = v.get("deadline_ms").and_then(|x| x.as_u64());
-    let verdict = run_oracles(src, seed, &oopts).and_then(|_| {
-        if legality {
-            run_legality_oracle(src, seed, &oopts)
-        } else {
-            Ok(false)
-        }
-    });
+    opts.oracle.fuel = v.get("fuel").and_then(|x| x.as_u64());
+    opts.oracle.deadline_ms = v.get("deadline_ms").and_then(|x| x.as_u64());
+    let verdict = run_all(src, seed, &opts);
     let rss = self_peak_rss_kb();
     match verdict {
         Ok(interchanged) => {

@@ -158,9 +158,11 @@ pub fn replay(seed: u64, text: Option<&str>, opts: &CampaignOpts) -> Result<(), 
     run_all(src, seed, opts).map(|_| ())
 }
 
-/// The full oracle stack plus (when enabled) the legality oracle. Returns
-/// whether the legality oracle exercised a real interchange.
-fn run_all(src: &str, seed: u64, opts: &CampaignOpts) -> Result<bool, Failure> {
+/// The full oracle stack plus (when enabled) the legality oracle: what an
+/// in-process campaign runs per seed, and what an isolated worker runs per
+/// request. Returns whether the legality oracle exercised a real
+/// interchange.
+pub fn run_all(src: &str, seed: u64, opts: &CampaignOpts) -> Result<bool, Failure> {
     run_oracles(src, seed, &opts.oracle)?;
     if opts.legality {
         run_legality_oracle(src, seed, &opts.oracle)

@@ -1,7 +1,15 @@
-//! Crash-resilient structured fuzzing of the adaptor stack.
+//! Crash-resilient structured fuzzing of the adaptor stack, and the one
+//! definition of the two flows it checks.
 //!
-//! Four layers, composed by the `mha-fuzz` / `mha-reduce` binaries in the
-//! driver crate:
+//! * [`flow`] — the adaptor flow and the C++ flow, composed once:
+//!   [`flow::run`] takes a parsed MLIR module, a [`pass_core::Budget`] and
+//!   a stage observer and returns the HLS-ready module or a typed
+//!   [`flow::FlowError`]. It lives in this crate because this is the
+//!   lowest crate that depends on every stage crate; `driver` re-exports
+//!   it and runs it for the batch engine, `mha-serve` and the warden.
+//!
+//! Four fuzzing layers sit on top, composed by the `mha-fuzz` /
+//! `mha-reduce` binaries in the driver crate:
 //!
 //! * [`rng`] — a stable SplitMix64 stream so corpus entries replay from a
 //!   seed alone, forever.
@@ -9,8 +17,8 @@
 //!   kernels (multi-loop and imperfect nests, guards, accumulation, relu,
 //!   multiple buffers, degenerate bounds).
 //! * [`oracle`] — the checks every kernel must survive: parse/verify,
-//!   print∘parse round-trips at both IR levels, the adaptor flow with
-//!   verify-after-each-pass, the HLS-C++ flow, and bit-exact differential
+//!   print∘parse round-trips at both IR levels, both flows through
+//!   [`flow::run`] with verify-after-each-pass, and bit-exact differential
 //!   execution — each stage under `catch_unwind` and a [`pass_core`]
 //!   budget so panics and hangs become findings, not fuzzer deaths.
 //! * [`sig`] + [`mod@reduce`] + [`campaign`] — normalized failure signatures
@@ -20,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod flow;
 pub mod gen;
 pub mod oracle;
 pub mod reduce;
@@ -27,7 +36,7 @@ pub mod rng;
 pub mod sig;
 
 pub use campaign::{
-    run_campaign, run_campaign_with, CampaignOpts, CampaignResult, Finding, OracleRunner,
+    run_all, run_campaign, run_campaign_with, CampaignOpts, CampaignResult, Finding, OracleRunner,
 };
 pub use gen::{generate, GenConfig, GeneratedKernel, TOP_NAME};
 pub use oracle::{run_legality_oracle, run_oracles, OracleOpts};

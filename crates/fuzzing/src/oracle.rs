@@ -22,15 +22,18 @@
 //! Every stage runs under `catch_unwind` and a [`pass_core::Budget`], so a
 //! panic becomes a [`OracleKind::Panic`] failure, an infinite loop becomes
 //! a [`OracleKind::Budget`] trip (or an interpreter step-limit
-//! [`OracleKind::Exec`] trap) — never a stuck or dead fuzzer.
+//! [`OracleKind::Exec`] trap) — never a stuck or dead fuzzer. Stages 3 and
+//! 5 are [`crate::flow::run`], the same definition every driver path runs;
+//! a flow failure is reported at the flow stage that failed (`lower`,
+//! `adaptor`, `emit-cpp`, `frontend` or `cleanup`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 use llvm_lite::interp::{Interpreter, RtVal};
-use mlir_lite::MType;
-use pass_core::{Budget, BudgetError};
+use mlir_lite::{MType, MlirModule};
+use pass_core::Budget;
 
+use crate::flow::{self, Flow, FlowError};
 use crate::gen::TOP_NAME;
 use crate::sig::{Failure, OracleKind};
 
@@ -58,51 +61,48 @@ impl Default for OracleOpts {
     }
 }
 
-impl OracleOpts {
-    fn budget(&self) -> Budget {
-        let mut b = Budget::unlimited();
-        if let Some(ms) = self.deadline_ms {
-            b = b.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(f) = self.fuel {
-            b = b.with_fuel(f);
-        }
-        b
-    }
+/// Run `work`, turning a panic into its message.
+fn caught<T>(work: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "non-string panic payload".into())
+    })
 }
 
-/// Run `work` with panic and budget classification for `stage`.
+/// Run `work` with panic classification for `stage`.
 fn guarded<T>(
     stage: &str,
     oracle: OracleKind,
     work: impl FnOnce() -> Result<T, String>,
 ) -> Result<T, Failure> {
-    match catch_unwind(AssertUnwindSafe(work)) {
-        Ok(Ok(v)) => Ok(v),
-        Ok(Err(msg)) => {
-            // A budget trip travels through stringly error channels; give
-            // it its own oracle kind so hangs dedup apart from real bugs.
-            if BudgetError::from_rendered(&msg).is_some() {
-                Err(Failure::new(OracleKind::Budget, stage, msg))
-            } else {
-                Err(Failure::new(oracle, stage, msg))
-            }
+    match caught(work) {
+        Ok(result) => result.map_err(|msg| Failure::new(oracle, stage, msg)),
+        Err(msg) => Err(Failure::new(OracleKind::Panic, stage, msg)),
+    }
+}
+
+/// Run one flow over `m`. A failure, or a panic, is reported at the flow
+/// stage that was running; a budget trip is its own oracle kind, so hangs
+/// dedup apart from real bugs.
+fn guarded_flow(m: MlirModule, flow: Flow, budget: &Budget) -> Result<llvm_lite::Module, Failure> {
+    let mut stage = "";
+    match caught(|| flow::run(m, flow, budget, &mut |s| stage = s)) {
+        Ok(Ok(art)) => Ok(art.module),
+        Ok(Err(e @ FlowError::Budget { .. })) => {
+            Err(Failure::new(OracleKind::Budget, e.stage(), e.to_string()))
         }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Err(Failure::new(OracleKind::Panic, stage, msg))
-        }
+        Ok(Err(e)) => Err(Failure::new(OracleKind::Stage, e.stage(), e.to_string())),
+        Err(msg) => Err(Failure::new(OracleKind::Panic, stage, msg)),
     }
 }
 
 /// Drive one kernel through the full oracle stack. `seed` feeds the
 /// deterministic input generator for differential execution.
 pub fn run_oracles(src: &str, seed: u64, opts: &OracleOpts) -> Result<(), Failure> {
-    let budget = opts.budget();
+    let budget = Budget::from_limits(opts.deadline_ms, opts.fuel);
 
     // 1. Parse + verify.
     let m = guarded("mlir-parse", OracleKind::Parse, || {
@@ -123,17 +123,11 @@ pub fn run_oracles(src: &str, seed: u64, opts: &OracleOpts) -> Result<(), Failur
         }
         Ok(())
     })?;
+    // Read before the C++ flow consumes the module; reported in stage 6.
+    let shapes = buffer_shapes(&m);
 
     // 3. Adaptor flow (lower → adaptor with verify-after-each-pass).
-    let adaptor_mod = guarded("lower", OracleKind::Stage, || {
-        lowering::lower(m.deep_clone()).map_err(|e| e.to_string())
-    })?;
-    let adaptor_mod = guarded("adaptor", OracleKind::Stage, || {
-        let mut module = adaptor_mod;
-        adaptor::run_adaptor_budgeted(&mut module, &adaptor::AdaptorConfig::default(), &budget)
-            .map_err(|e| e.to_string())?;
-        Ok(module)
-    })?;
+    let adaptor_mod = guarded_flow(m.deep_clone(), Flow::Adaptor, &budget)?;
     guarded("llvm-verify", OracleKind::Verify, || {
         llvm_lite::verifier::verify_module(&adaptor_mod).map_err(|e| e.to_string())
     })?;
@@ -150,26 +144,11 @@ pub fn run_oracles(src: &str, seed: u64, opts: &OracleOpts) -> Result<(), Failur
         Ok(())
     })?;
 
-    // 5. C++ flow.
-    let cpp_mod = guarded("emit-cpp", OracleKind::Stage, || {
-        hls_cpp::emit_cpp(&m).map_err(|e| e.to_string())
-    })
-    .and_then(|cpp| {
-        guarded("frontend", OracleKind::Stage, || {
-            hls_cpp::compile_cpp(TOP_NAME, &cpp).map_err(|e| e.to_string())
-        })
-    })
-    .and_then(|mut module| {
-        guarded("cleanup", OracleKind::Stage, || {
-            llvm_lite::transforms::standard_cleanup()
-                .run_to_fixpoint_budgeted(&mut module, 4, &budget)
-                .map_err(|e| e.to_string())?;
-            Ok(module)
-        })
-    })?;
+    // 5. C++ flow (emit-cpp → frontend → cleanup).
+    let cpp_mod = guarded_flow(m, Flow::Cpp, &budget)?;
 
     // 6. Differential execution on deterministic inputs.
-    let shapes = buffer_shapes(&m)?;
+    let shapes = shapes?;
     let out_a = guarded("exec-adaptor", OracleKind::Exec, || {
         execute(&adaptor_mod, &shapes, seed, opts.step_limit)
     })?;
@@ -208,7 +187,7 @@ pub fn run_oracles(src: &str, seed: u64, opts: &OracleOpts) -> Result<(), Failur
 /// analysis bug. Returns `Ok(true)` when an interchange was actually
 /// exercised, `Ok(false)` when the kernel had no legal swap to make.
 pub fn run_legality_oracle(src: &str, seed: u64, opts: &OracleOpts) -> Result<bool, Failure> {
-    let budget = opts.budget();
+    let budget = Budget::from_limits(opts.deadline_ms, opts.fuel);
     let m = guarded("mlir-parse", OracleKind::Parse, || {
         mlir_lite::parser::parse_module(TOP_NAME, src).map_err(|e| e.to_string())
     })?;
@@ -223,19 +202,17 @@ pub fn run_legality_oracle(src: &str, seed: u64, opts: &OracleOpts) -> Result<bo
         return Ok(false);
     }
     let shapes = buffer_shapes(&m)?;
-    let exec_of = |module: &mlir_lite::MlirModule, tag: &'static str| {
-        let lowered = guarded(tag, OracleKind::Stage, || {
-            let mut ll = lowering::lower(module.deep_clone()).map_err(|e| e.to_string())?;
-            adaptor::run_adaptor_budgeted(&mut ll, &adaptor::AdaptorConfig::default(), &budget)
-                .map_err(|e| e.to_string())?;
-            Ok(ll)
+    let exec_of = |module: MlirModule, tag: &'static str| {
+        let lowered = guarded_flow(module, Flow::Adaptor, &budget).map_err(|f| Failure {
+            stage: tag.to_string(),
+            ..f
         })?;
         guarded(tag, OracleKind::Exec, || {
             execute(&lowered, &shapes, seed, opts.step_limit)
         })
     };
-    let out_base = exec_of(&m, "legality-base")?;
-    let out_swapped = exec_of(&swapped, "legality-interchanged")?;
+    let out_base = exec_of(m, "legality-base")?;
+    let out_swapped = exec_of(swapped, "legality-interchanged")?;
     guarded("legality-compare", OracleKind::Legality, || {
         for (bi, (a, b)) in out_base.iter().zip(out_swapped.iter()).enumerate() {
             for (ei, (x, y)) in a.iter().zip(b.iter()).enumerate() {
@@ -255,7 +232,7 @@ pub fn run_legality_oracle(src: &str, seed: u64, opts: &OracleOpts) -> Result<bo
 /// Pull the top function's memref parameter element counts out of the
 /// parsed module. Works on reduced kernels too (shapes come from the text,
 /// not from the generator).
-fn buffer_shapes(m: &mlir_lite::MlirModule) -> Result<Vec<usize>, Failure> {
+fn buffer_shapes(m: &MlirModule) -> Result<Vec<usize>, Failure> {
     let f = m
         .func(TOP_NAME)
         .or_else(|| {
@@ -414,6 +391,111 @@ func.func @fuzz_top(%a: memref<8x8xf32>) {
         };
         let f = run_oracles(&k.text, 0, &opts).unwrap_err();
         assert_eq!(f.oracle, OracleKind::Budget, "{f}");
+    }
+
+    /// The failure signature of one crafted input per reachable (oracle
+    /// kind, stage) pair. A changed signature splits or merges findings
+    /// in every corpus, so it must only move on purpose.
+    #[test]
+    fn failure_signatures_are_pinned() {
+        let cases = [
+            (
+                r#"
+func.func @fuzz_top(%a: memref<8xf32>) {
+  scf.for %i = 0 to 8 {
+  }
+  func.return
+}
+"#,
+                "parse/mlir-parse: parse error at line #: unknown or unparseable op 'scf.for'",
+            ),
+            (
+                r#"
+func.func @fuzz_top(%a: memref<?xf32>) {
+  func.return
+}
+"#,
+                "stage/emit-cpp: C++ emission error: dynamic memref in interface",
+            ),
+            (
+                r#"
+func.func @helper(%a: memref<8xf32>) {
+  func.return
+}
+func.func @fuzz_top(%a: memref<8xf32>) {
+  func.call @helper(%a) : (memref<8xf32>) -> ()
+  func.return
+}
+"#,
+                "stage/adaptor: error[verify-compat] @fuzz_top:pointer parameter %arg#: \
+                 # HLS compatibility issue(s):",
+            ),
+            (
+                r#"
+func.func @fuzz_top(%a: memref<8xf32>) {
+  func.call @fuzz_top(%a) : (memref<8xf32>) -> ()
+  func.return
+}
+"#,
+                "stage/adaptor: error[verify-compat] @fuzz_top:cycle through @fuzz_top: \
+                 # HLS compatibility issue(s):",
+            ),
+            (
+                r#"
+func.func @fuzz_top(%x: f32, %a: memref<8xf32>) {
+  affine.for %i = 0 to 8 {
+    affine.store %x, %a[%i] : memref<8xf32>
+  }
+  func.return
+}
+"#,
+                "exec/shapes: param # is not a memref: F#",
+            ),
+            (
+                r#"
+func.func @fuzz_top(%a: memref<8xf32>) {
+  affine.for %i = 0 to 16 {
+    %v = affine.load %a[%i] : memref<8xf32>
+    affine.store %v, %a[%i] : memref<8xf32>
+  }
+  func.return
+}
+"#,
+                "exec/exec-adaptor: interpreter trap: out-of-bounds access at offset #+# \
+                 in buffer of # bytes",
+            ),
+        ];
+        let signature = |src: &str, opts: &OracleOpts| {
+            let f = run_oracles(src, 0, opts).unwrap_err();
+            f.signature().as_str().to_string()
+        };
+        for (src, want) in cases {
+            assert_eq!(signature(src, &OracleOpts::default()), want, "{src}");
+        }
+
+        // Budget trips: the first charge is the flow's `flow/lower`
+        // boundary, then lowering's cleanup pipeline.
+        let k = generate(0, &GenConfig::default());
+        let fuel = OracleOpts {
+            fuel: Some(1),
+            ..OracleOpts::default()
+        };
+        assert_eq!(
+            signature(&k.text, &fuel),
+            "budget/lower: fuel budget exceeded in mem#reg: pool empty (# unit(s) requested)"
+        );
+        let deadline = OracleOpts {
+            deadline_ms: Some(0),
+            ..OracleOpts::default()
+        };
+        // The overshoot's unit (ns, µs, ms) varies from run to run.
+        let got = signature(&k.text, &deadline);
+        assert!(
+            got.starts_with(
+                "budget/lower: deadline budget exceeded in flow/lower: wall clock over by "
+            ),
+            "{got}"
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   counters are `int`s sign-extended at each use, and pragmas become
 //!   `!llvm.loop` metadata on latches.
 //!
-//! The composition `frontend(emit(mlir))` is the "C++ flow"; the paper's
+//! The composition `frontend(emit(mlir))`, followed by the cleanup
+//! fixpoint, is the "C++ flow" (composed in `fuzzing::flow`); the paper's
 //! adaptor flow bypasses it. Comparing the two flows' synthesis results
 //! (same scheduler, same kernels) reproduces the paper's headline
 //! experiment. The information loss of the detour is *structural*: affine
@@ -54,78 +55,3 @@ impl std::error::Error for Error {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
-
-/// Run the whole baseline flow: MLIR → HLS C++ → (frontend) → LLVM IR,
-/// cleaned up the way Vitis' own pre-scheduling pipeline would.
-pub fn cpp_flow(m: &mlir_lite::MlirModule) -> Result<llvm_lite::Module> {
-    let cpp = emit_cpp(m)?;
-    let mut out = compile_cpp(&m.name, &cpp)?;
-    llvm_lite::transforms::standard_cleanup()
-        .run_to_fixpoint(&mut out, 4)
-        .map_err(|e| Error::Codegen(e.to_string()))?;
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use llvm_lite::interp::{Interpreter, RtVal};
-    use mlir_lite::parser::parse_module;
-
-    const GEMM: &str = r#"
-func.func @gemm(%A: memref<4x4xf32>, %B: memref<4x4xf32>, %C: memref<4x4xf32>) attributes {hls.top} {
-  affine.for %i = 0 to 4 {
-    affine.for %j = 0 to 4 {
-      %zero = arith.constant 0.0 : f32
-      affine.store %zero, %C[%i, %j] : memref<4x4xf32>
-      affine.for %k = 0 to 4 {
-        %a = affine.load %A[%i, %k] : memref<4x4xf32>
-        %b = affine.load %B[%k, %j] : memref<4x4xf32>
-        %c = affine.load %C[%i, %j] : memref<4x4xf32>
-        %p = arith.mulf %a, %b : f32
-        %s = arith.addf %c, %p : f32
-        affine.store %s, %C[%i, %j] : memref<4x4xf32>
-      } {hls.pipeline_ii = 1 : i32}
-    }
-  }
-  func.return
-}
-"#;
-
-    #[test]
-    fn end_to_end_cpp_flow_computes_gemm() {
-        let m = parse_module("gemm", GEMM).unwrap();
-        let module = crate::cpp_flow(&m).unwrap();
-        llvm_lite::verifier::verify_module(&module).unwrap();
-        let mut interp = Interpreter::new(&module);
-        let a: Vec<f32> = (0..16).map(|x| x as f32).collect();
-        let b: Vec<f32> = (0..16).map(|x| ((x * 3) % 5) as f32).collect();
-        let pa = interp.mem.alloc_f32(&a);
-        let pb = interp.mem.alloc_f32(&b);
-        let pc = interp.mem.alloc_f32(&[0.0; 16]);
-        interp
-            .call("gemm", &[RtVal::P(pa), RtVal::P(pb), RtVal::P(pc)])
-            .unwrap();
-        let c = interp.mem.read_f32(pc, 16).unwrap();
-        for i in 0..4 {
-            for j in 0..4 {
-                let mut acc = 0.0f32;
-                for k in 0..4 {
-                    acc += a[i * 4 + k] * b[k * 4 + j];
-                }
-                assert_eq!(c[i * 4 + j], acc, "C[{i}][{j}]");
-            }
-        }
-    }
-
-    #[test]
-    fn cpp_flow_is_synthesis_ready() {
-        let m = parse_module("gemm", GEMM).unwrap();
-        let module = crate::cpp_flow(&m).unwrap();
-        // The C++ path produces structured arrays natively (clang-style),
-        // so the Vitis frontend accepts it without the adaptor.
-        let report = vitis_sim::csynth(&module, &vitis_sim::Target::default());
-        assert!(report.is_ok(), "{report:?}");
-        let report = report.unwrap();
-        assert!(report.loops.iter().any(|l| l.pipelined));
-    }
-}

@@ -37,31 +37,26 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Options controlling the lowering pipeline.
 #[derive(Clone, Debug)]
 pub struct LowerOptions {
-    /// Expand `hls.unroll_full`-tagged loops at the affine level.
-    pub expand_full_unroll: bool,
     /// Run the llvm-lite standard cleanup (mem2reg/fold/simplify/dce) on the
-    /// translated module.
+    /// translated module. A budgeted caller turns this off and runs the
+    /// same fixpoint under its budget.
     pub cleanup: bool,
 }
 
 impl Default for LowerOptions {
     fn default() -> LowerOptions {
-        LowerOptions {
-            expand_full_unroll: true,
-            cleanup: true,
-        }
+        LowerOptions { cleanup: true }
     }
 }
 
-/// Run the full pipeline: affine → scf → cf → llvm-lite.
+/// Run the full pipeline: `hls.unroll_full` expansion, then
+/// affine → scf → cf → llvm-lite.
 ///
 /// The input module is consumed (lowering rewrites it stage by stage); the
 /// output is a verified LLVM module.
 pub fn lower_module(mut m: MlirModule, opts: &LowerOptions) -> Result<llvm_lite::Module> {
     mlir_lite::verifier::verify_module(&m)?;
-    if opts.expand_full_unroll {
-        unroll::expand_full_unroll(&mut m)?;
-    }
+    unroll::expand_full_unroll(&mut m)?;
     affine_to_scf::run(&mut m)?;
     scf_to_cf::run(&mut m)?;
     let mut out = translate::translate(&m)?;

@@ -628,14 +628,7 @@ mod tests {
 
     fn lower_no_cleanup(src: &str) -> Module {
         let m = parse_module("t", src).unwrap();
-        crate::lower_module(
-            m,
-            &crate::LowerOptions {
-                expand_full_unroll: false,
-                cleanup: false,
-            },
-        )
-        .unwrap()
+        crate::lower_module(m, &crate::LowerOptions { cleanup: false }).unwrap()
     }
 
     #[test]

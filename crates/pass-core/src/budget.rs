@@ -16,12 +16,14 @@
 //!   same pool, so a kernel's flow, csynth, and cosim stages together
 //!   cannot exceed the per-kernel allowance.
 //!
-//! Budget errors must survive the workspace's stringly error boundaries
-//! (`DriverError` wraps rendered text). The rendered grammar is therefore
-//! stable — `"{kind} budget exceeded in {stage}: {detail}"` — and
-//! [`BudgetError::from_rendered`] parses it back out of any error string,
-//! letting the supervisor classify a budget trip as `BudgetExceeded` even
-//! after it has been flattened to text.
+//! A [`Budget`] is built once per unit of work by [`Budget::from_limits`]
+//! (or [`Budget::unlimited`]). Trips travel typed: a pass manager returns
+//! one as a [`BUDGET_COMPONENT`] diagnostic, the flow definition
+//! (`fuzzing::flow`) reads it back once with [`BudgetError::from_diagnostic`]
+//! and hands its callers a typed trip to match on. The rendered grammar —
+//! `"{kind} budget exceeded in {stage}: {detail}"` — is stable display
+//! output; [`BudgetError::from_rendered`] parses it back out of text (the
+//! service's 408 body, tests).
 
 use std::fmt;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -148,22 +150,18 @@ impl Budget {
         Budget::default()
     }
 
+    /// A budget from optional limits: a deadline `deadline_ms` from now
+    /// and a fuel pool of `fuel` units (`None` leaves that resource unset).
+    pub fn from_limits(deadline_ms: Option<u64>, fuel: Option<u64>) -> Budget {
+        Budget {
+            deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
+            fuel: fuel.map(|units| Arc::new(AtomicI64::new(units.min(i64::MAX as u64) as i64))),
+        }
+    }
+
     /// True when neither a deadline nor fuel is set.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.fuel.is_none()
-    }
-
-    /// Add a wall-clock deadline `d` from now.
-    pub fn with_deadline(mut self, d: Duration) -> Budget {
-        self.deadline = Some(Instant::now() + d);
-        self
-    }
-
-    /// Add a fuel pool of `units`. Each [`Budget::charge`] unit drains it;
-    /// all clones share the pool.
-    pub fn with_fuel(mut self, units: u64) -> Budget {
-        self.fuel = Some(Arc::new(AtomicI64::new(units.min(i64::MAX as u64) as i64)));
-        self
     }
 
     /// Remaining fuel, if a pool is set (may be negative after a trip).
@@ -248,7 +246,7 @@ mod tests {
 
     #[test]
     fn fuel_pool_is_shared_across_clones_and_trips() {
-        let b = Budget::unlimited().with_fuel(3);
+        let b = Budget::from_limits(None, Some(3));
         let c = b.clone();
         b.charge(2, "a").unwrap();
         c.charge(1, "b").unwrap();
@@ -261,7 +259,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_trips_with_stage() {
-        let b = Budget::unlimited().with_deadline(Duration::from_millis(0));
+        let b = Budget::from_limits(Some(0), None);
         std::thread::sleep(Duration::from_millis(2));
         let err = b.charge(1, "schedule").unwrap_err();
         assert_eq!(err.kind, BudgetKind::Deadline);
@@ -270,8 +268,22 @@ mod tests {
     }
 
     #[test]
+    fn from_limits_sets_only_the_given_resources() {
+        assert!(Budget::from_limits(None, None).is_unlimited());
+        let fuel = Budget::from_limits(None, Some(2));
+        assert_eq!(fuel.remaining_fuel(), Some(2));
+        assert_eq!(fuel.remaining_time(), None);
+        let deadline = Budget::from_limits(Some(0), None);
+        assert_eq!(deadline.remaining_fuel(), None);
+        assert_eq!(
+            deadline.charge(1, "x").unwrap_err().kind,
+            BudgetKind::Deadline
+        );
+    }
+
+    #[test]
     fn exhaust_fuel_is_immediate() {
-        let b = Budget::unlimited().with_fuel(1_000_000);
+        let b = Budget::from_limits(None, Some(1_000_000));
         b.exhaust_fuel();
         assert_eq!(b.check("x").unwrap_err().kind, BudgetKind::Fuel);
     }

@@ -171,9 +171,8 @@ impl<IR: PassIr> PassManager<IR> {
     /// [`PassManager::run`] under a [`Budget`]: one fuel unit is charged
     /// per pass (before it runs), and the deadline is checked at the same
     /// points. A trip surfaces as the [`budget::BUDGET_COMPONENT`]
-    /// diagnostic produced by [`BudgetError::to_diagnostic`], so callers on
-    /// stringly error channels can still recover it with
-    /// [`BudgetError::from_rendered`].
+    /// diagnostic produced by [`BudgetError::to_diagnostic`];
+    /// [`BudgetError::from_diagnostic`] reads it back.
     pub fn run_budgeted(&self, ir: &mut IR, budget: &Budget) -> PassResult<PipelineReport> {
         self.run_observed_budgeted(ir, &mut |_, _| {}, budget)
     }
@@ -415,7 +414,7 @@ mod tests {
         pm.add(Grow { by: 1, until: 100 });
         let mut ir = CountIr::default();
         // 3 fuel units = 3 pass executions, tripping inside sweep 4.
-        let budget = Budget::unlimited().with_fuel(3);
+        let budget = Budget::from_limits(None, Some(3));
         let err = pm
             .run_to_fixpoint_budgeted(&mut ir, 100, &budget)
             .unwrap_err();
@@ -435,7 +434,7 @@ mod tests {
             until: 1_000_000,
         });
         let mut ir = CountIr::default();
-        let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
+        let budget = Budget::from_limits(Some(0), None);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let err = pm.run_budgeted(&mut ir, &budget).unwrap_err();
         let trip = BudgetError::from_diagnostic(&err).expect("parsable trip");

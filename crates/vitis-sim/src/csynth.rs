@@ -37,8 +37,7 @@ impl std::fmt::Display for CsynthError {
                 }
                 Ok(())
             }
-            // Render the trip verbatim: its grammar is what lets stringly
-            // layers recover the structured error (`BudgetError::from_rendered`).
+            // Render the trip verbatim, in the stable budget grammar.
             CsynthError::Budget(e) => write!(f, "{e}"),
             CsynthError::Other(m) => write!(f, "csynth error: {m}"),
         }
@@ -524,7 +523,7 @@ entry:
         let m = parse_module("m", SCALE).unwrap();
         // 1 fuel unit: the first block charge succeeds, the first
         // instruction charge inside scheduling trips.
-        let budget = Budget::unlimited().with_fuel(1);
+        let budget = Budget::from_limits(None, Some(1));
         match csynth_budgeted(&m, &Target::default(), &budget) {
             Err(CsynthError::Budget(e)) => {
                 assert_eq!(e.kind, pass_core::BudgetKind::Fuel);
@@ -553,7 +552,7 @@ entry:
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let m = parse_module("m", &src).unwrap();
-            let budget = Budget::unlimited().with_fuel(1_000_000);
+            let budget = Budget::from_limits(None, Some(1_000_000));
             let _ = tx.send(csynth_budgeted(&m, &Target::default(), &budget));
         });
         let huge = rx
@@ -571,7 +570,7 @@ entry:
     #[test]
     fn deadline_budget_trips_synthesis() {
         let m = parse_module("m", SCALE).unwrap();
-        let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
+        let budget = Budget::from_limits(Some(0), None);
         std::thread::sleep(std::time::Duration::from_millis(2));
         match csynth_budgeted(&m, &Target::default(), &budget) {
             Err(CsynthError::Budget(e)) => assert_eq!(e.kind, pass_core::BudgetKind::Deadline),

@@ -441,7 +441,7 @@ entry:
         .unwrap();
         let f = &m.functions[0];
         let cx = ScheduleCtx::from_function(f);
-        let budget = Budget::unlimited().with_fuel(2);
+        let budget = Budget::from_limits(None, Some(2));
         let err = schedule_block_budgeted(&m, f, &Target::default(), f.entry(), &cx, &budget)
             .unwrap_err();
         assert_eq!(err.stage, "csynth/schedule");

@@ -156,15 +156,8 @@ fn suite() {
 fn fuzz_case(seed: u64) -> Option<(Vec<Module>, Vec<Vec<f32>>)> {
     let text = fuzzing::generate(seed, &GenConfig::default()).text;
     let m = mlir_lite::parser::parse_module(TOP_NAME, &text).ok()?;
-    let budget = Budget::unlimited();
-    let mut adapted = lowering::lower(m.deep_clone()).ok()?;
-    adaptor::run_adaptor_budgeted(&mut adapted, &adaptor::AdaptorConfig::default(), &budget)
-        .ok()?;
-    let cpp = hls_cpp::emit_cpp(&m).ok()?;
-    let mut cpp_mod = hls_cpp::compile_cpp(TOP_NAME, &cpp).ok()?;
-    llvm_lite::transforms::standard_cleanup()
-        .run_to_fixpoint_budgeted(&mut cpp_mod, 4, &budget)
-        .ok()?;
+    let run = |flow| fuzzing::flow::run(m.deep_clone(), flow, &Budget::unlimited(), &mut |_| {});
+    let modules = vec![run(Flow::Adaptor).ok()?.module, run(Flow::Cpp).ok()?.module];
     let f = m.func(TOP_NAME)?;
     let inputs = f.regions[0]
         .entry()
@@ -183,7 +176,7 @@ fn fuzz_case(seed: u64) -> Option<(Vec<Module>, Vec<Vec<f32>>)> {
             _ => None,
         })
         .collect::<Option<Vec<_>>>()?;
-    Some((vec![adapted, cpp_mod], inputs))
+    Some((modules, inputs))
 }
 
 fn fuzz(seeds: std::ops::Range<u64>) {

@@ -102,20 +102,15 @@ fn printed_suite_modules_match_their_pinned_digests() {
 }
 
 fn fuzz_both_flows(seeds: std::ops::Range<u64>) {
-    let budget = Budget::unlimited();
     for seed in seeds {
         let text = fuzzing::generate(seed, &GenConfig::default()).text;
         let m = mlir_lite::parser::parse_module(TOP_NAME, &text).unwrap();
-        let mut adapted = lowering::lower(m.deep_clone()).unwrap();
-        adaptor::run_adaptor_budgeted(&mut adapted, &adaptor::AdaptorConfig::default(), &budget)
-            .unwrap();
-        assert_round_trips(&format!("seed {seed} via adaptor"), TOP_NAME, &adapted);
-        let cpp = hls_cpp::emit_cpp(&m).unwrap();
-        let mut c = hls_cpp::compile_cpp(TOP_NAME, &cpp).unwrap();
-        llvm_lite::transforms::standard_cleanup()
-            .run_to_fixpoint_budgeted(&mut c, 4, &budget)
-            .unwrap();
-        assert_round_trips(&format!("seed {seed} via cpp"), TOP_NAME, &c);
+        for flow in [Flow::Adaptor, Flow::Cpp] {
+            let label = format!("seed {seed} via {flow:?}");
+            let art = fuzzing::flow::run(m.deep_clone(), flow, &Budget::unlimited(), &mut |_| {})
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_round_trips(&label, TOP_NAME, &art.module);
+        }
     }
 }
 

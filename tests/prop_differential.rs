@@ -7,8 +7,9 @@
 
 use proptest::prelude::*;
 
-use adaptor::AdaptorConfig;
+use driver::Flow;
 use llvm_lite::interp::{Interpreter, RtVal};
+use pass_core::Budget;
 
 const N: i64 = 8;
 
@@ -122,6 +123,13 @@ fn execute(module: &llvm_lite::Module, a: &[f32]) -> Vec<f32> {
     interp.mem.read_f32(pb, (N * N) as usize).expect("read B")
 }
 
+/// The HLS-ready module of one flow over `m`.
+fn flow_module(m: &mlir_lite::MlirModule, flow: Flow) -> llvm_lite::Module {
+    fuzzing::flow::run(m.deep_clone(), flow, &Budget::unlimited(), &mut |_| {})
+        .unwrap_or_else(|e| panic!("{flow:?} flow: {e}"))
+        .module
+}
+
 fn input_from(seed: &[i32]) -> Vec<f32> {
     (0..(N * N) as usize)
         .map(|i| (seed[i % seed.len()] % 17) as f32 / 4.0)
@@ -143,16 +151,8 @@ proptest! {
             .expect("generated MLIR must parse");
         mlir_lite::verifier::verify_module(&m).expect("generated MLIR must verify");
 
-        // Adaptor flow.
-        let mut adaptor_mod = lowering::lower(m.deep_clone()).expect("lowering");
-        adaptor::run_adaptor(&mut adaptor_mod, &AdaptorConfig::default()).expect("adaptor");
-
-        // C++ flow.
-        let cpp = hls_cpp::emit_cpp(&m).expect("emission");
-        let mut cpp_mod = hls_cpp::compile_cpp("randk", &cpp).expect("frontend");
-        llvm_lite::transforms::standard_cleanup()
-            .run_to_fixpoint(&mut cpp_mod, 4)
-            .expect("cleanup");
+        let adaptor_mod = flow_module(&m, Flow::Adaptor);
+        let cpp_mod = flow_module(&m, Flow::Cpp);
 
         let a = input_from(&seed);
         let out_adaptor = execute(&adaptor_mod, &a);
@@ -171,13 +171,8 @@ proptest! {
         let src = render_kernel(&stmts, Some(ii), unroll);
         let m = mlir_lite::parser::parse_module("randk", &src).expect("parse");
 
-        let mut adaptor_mod = lowering::lower(m.deep_clone()).expect("lowering");
-        adaptor::run_adaptor(&mut adaptor_mod, &AdaptorConfig::default()).expect("adaptor");
-        let cpp = hls_cpp::emit_cpp(&m).expect("emission");
-        let mut cpp_mod = hls_cpp::compile_cpp("randk", &cpp).expect("frontend");
-        llvm_lite::transforms::standard_cleanup()
-            .run_to_fixpoint(&mut cpp_mod, 4)
-            .expect("cleanup");
+        let adaptor_mod = flow_module(&m, Flow::Adaptor);
+        let cpp_mod = flow_module(&m, Flow::Cpp);
 
         let target = vitis_sim::Target::default();
         let ra = vitis_sim::csynth(&adaptor_mod, &target).expect("adaptor csynth");

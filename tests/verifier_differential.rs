@@ -100,10 +100,7 @@ fn snapshots(mlir: &MlirModule, name: &str) -> Vec<(String, Module)> {
         }
     }
     let mut out = Vec::new();
-    let opts = lowering::LowerOptions {
-        cleanup: false,
-        ..Default::default()
-    };
+    let opts = lowering::LowerOptions { cleanup: false };
     let mut m = lowering::lower_module(mlir.deep_clone(), &opts).expect("lower");
     out.push(("translate".to_string(), m.clone()));
     cleanup(&mut m, "lower-cleanup", &mut out);
