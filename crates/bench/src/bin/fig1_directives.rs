@@ -5,7 +5,6 @@
 
 use driver::{run_experiment, Directives};
 use hls_bench::render_table;
-use rayon::prelude::*;
 use vitis_sim::Target;
 
 fn main() {
@@ -16,7 +15,7 @@ fn main() {
         .flat_map(|k| factors.iter().map(move |f| (*k, *f)))
         .collect();
     let results: Vec<_> = configs
-        .par_iter()
+        .iter()
         .map(|(kname, factor)| {
             let k = kernels::kernel(kname).expect("kernel");
             let d = Directives {

@@ -5,7 +5,6 @@
 
 use driver::{run_experiment, Directives};
 use hls_bench::render_table;
-use rayon::prelude::*;
 use vitis_sim::Target;
 
 fn main() {
@@ -21,7 +20,7 @@ fn main() {
         }
     }
     let results: Vec<_> = configs
-        .par_iter()
+        .iter()
         .map(|(kname, unroll, part)| {
             let k = kernels::kernel(kname).expect("kernel");
             let d = Directives {

@@ -52,8 +52,10 @@
 //! Exit codes: **0** run clean, **1** assertions failed (a gated 5xx
 //! response, missing `Retry-After`, warm-hit ratio below
 //! `--min-warm-ratio`, or polite p99 above `--max-polite-p99-us`), **2**
-//! usage or connection errors. `--format json` stdout is one parseable
-//! document; progress goes to stderr.
+//! usage or connection errors, including a `GET /v1/healthz` probe before
+//! the run that does not answer `200` (a draining server answers `503`).
+//! `--format json` stdout is one parseable document; progress goes to
+//! stderr.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -218,7 +220,13 @@ impl HttpClient {
         }
     }
 
-    fn try_post(&mut self, path: &str, body: &str, client: &str) -> Result<Resp, String> {
+    fn try_send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+        client: &str,
+    ) -> Result<Resp, String> {
         if self.conn.is_none() {
             let s = TcpStream::connect(&self.addr).map_err(|e| format!("connect: {e}"))?;
             s.set_read_timeout(Some(Duration::from_secs(60))).ok();
@@ -231,7 +239,7 @@ impl HttpClient {
             format!("X-Mha-Client: {client}\r\n")
         };
         let req = format!(
-            "POST {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n\
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n\
              Content-Length: {}\r\n{client_hdr}Connection: {}\r\n\r\n{body}",
             self.addr,
             body.len(),
@@ -252,15 +260,15 @@ impl HttpClient {
         Ok(resp)
     }
 
-    /// Post with the reconnect/retry policy: a dead *reused* connection
+    /// Send with the reconnect/retry policy: a dead *reused* connection
     /// gets one free reconnect (normal keep-alive race), then up to
     /// `retries` real resends for transport errors.
-    fn post(&mut self, path: &str, body: &str, client: &str) -> Result<Resp, String> {
+    fn send(&mut self, method: &str, path: &str, body: &str, client: &str) -> Result<Resp, String> {
         let mut budget = self.retries;
         let mut free_reuse_retry = true;
         loop {
             let reused = self.conn.is_some();
-            match self.try_post(path, body, client) {
+            match self.try_send(method, path, body, client) {
                 Ok(r) => return Ok(r),
                 Err(e) => {
                     self.conn = None;
@@ -277,6 +285,17 @@ impl HttpClient {
                 }
             }
         }
+    }
+}
+
+/// The pre-load health probe's verdict: only a `200` from
+/// `GET /v1/healthz` means the server takes load. A draining server
+/// answers `503`; anything else is not a live `mha-serve`.
+fn probe_verdict(probe: Result<Resp, String>) -> Result<(), String> {
+    match probe {
+        Ok(r) if r.code == 200 => Ok(()),
+        Ok(r) => Err(format!("health probe GET /v1/healthz answered {}", r.code)),
+        Err(e) => Err(format!("server unreachable: {e}")),
     }
 }
 
@@ -413,7 +432,7 @@ fn adversary_loop(
                     thread_id
                 );
                 let mut client = HttpClient::new(addr, true, 0);
-                match client.post("/v1/compile", &body, "hot") {
+                match client.send("POST", "/v1/compile", &body, "hot") {
                     Ok(r) => {
                         let mut st = stats.lock().unwrap();
                         st.responses += 1;
@@ -445,7 +464,7 @@ fn adversary_loop(
                     thread_id
                 );
                 let mut client = HttpClient::new(addr, true, 0);
-                match client.post("/v1/compile", &body, "bomb") {
+                match client.send("POST", "/v1/compile", &body, "bomb") {
                     Ok(r) => {
                         let mut st = stats.lock().unwrap();
                         st.responses += 1;
@@ -568,9 +587,12 @@ fn main() {
         usage();
     }
 
-    // Probe before loading so a dead server is exit 2, not 100 errors.
-    if let Err(e) = HttpClient::new(&addr, false, 0).post("/v1/healthz", "", "") {
-        eprintln!("mha-load: server unreachable: {e}");
+    // Probe before loading so a dead or draining server is exit 2, not
+    // 100 errors.
+    if let Err(e) =
+        probe_verdict(HttpClient::new(&addr, false, 0).send("GET", "/v1/healthz", "", ""))
+    {
+        eprintln!("mha-load: {e}");
         std::process::exit(2);
     }
 
@@ -619,7 +641,7 @@ fn main() {
                             }
                             let client = client_of(i);
                             let start = Instant::now();
-                            match http.post("/v1/compile", &bodies[i], &client) {
+                            match http.send("POST", "/v1/compile", &bodies[i], &client) {
                                 Ok(r) => {
                                     if (r.code == 429 || r.code == 503) && !r.retry_after {
                                         retry_after_missing.fetch_add(1, Ordering::SeqCst);
@@ -897,4 +919,29 @@ fn main() {
         }
     }
     std::process::exit(if failed { 1 } else { 0 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn resp(code: u16) -> Result<Resp, String> {
+        Ok(Resp {
+            code,
+            served: String::new(),
+            retry_after: code == 503,
+            close: true,
+            body: String::new(),
+        })
+    }
+
+    #[test]
+    fn only_a_200_health_probe_lets_the_load_run() {
+        assert_eq!(probe_verdict(resp(200)), Ok(()));
+        for code in [404, 503] {
+            let err = probe_verdict(resp(code)).unwrap_err();
+            assert!(err.contains(&code.to_string()), "{err}");
+        }
+        assert!(probe_verdict(Err("connect: refused".into())).is_err());
+    }
 }

@@ -1,18 +1,21 @@
 //! The experiment harness: run kernels through both flows and collect
 //! everything the table/figure generators need.
+//!
+//! Each flow runs through the batch engine ([`run_supervised`]), so the
+//! paper tables synthesize and co-simulate the printed and re-parsed
+//! module, the same text boundary `mha-batch` and `mha-serve` cross and
+//! Vitis reads.
 
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
-use vitis_sim::{csynth, CsynthReport, Target};
+use vitis_sim::{CsynthReport, Target};
 
-use crate::cosim::cosim;
-use crate::flow::{run_flow, Flow};
-use crate::Result;
+use crate::batch::{run_supervised, BatchOptions, RunOutcome};
+use crate::flow::Flow;
+use crate::{DriverError, Result};
 use kernels::Kernel;
 
 /// HLS directives applied (identically) at the MLIR level before either
 /// flow runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Directives {
     /// Pipeline every innermost loop at this II.
     pub pipeline_ii: Option<u32>,
@@ -37,20 +40,16 @@ impl Directives {
 }
 
 /// One flow's results within an experiment row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowOutcome {
     /// Synthesis report.
     pub report: CsynthReport,
     /// Co-simulation max error vs the reference.
     pub cosim_err: f32,
-    /// Flow conversion time, microseconds.
-    pub flow_us: u64,
-    /// Instructions in the final module's top function.
-    pub ir_insts: usize,
 }
 
 /// One kernel × directives experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExperimentRow {
     /// Kernel name.
     pub kernel: String,
@@ -69,26 +68,39 @@ impl ExperimentRow {
     }
 }
 
+/// One flow of one kernel through the batch engine, uncached, at the
+/// default co-simulation seed. Anything short of a completed run (a
+/// fault, a panic, a fallback to the C++ flow) is an error.
 fn outcome(
     kernel: &Kernel,
     directives: &Directives,
     flow: Flow,
     target: &Target,
 ) -> Result<FlowOutcome> {
-    let art = run_flow(kernel, directives, flow)?;
-    let report = csynth(&art.module, target)?;
-    let sim = cosim(&art.module, kernel, 2026)?;
-    let ir_insts = art
-        .module
-        .top_function()
-        .map(|f| f.num_insts())
-        .unwrap_or(0);
-    Ok(FlowOutcome {
-        report,
-        cosim_err: sim.max_abs_err,
-        flow_us: art.elapsed_us(),
-        ir_insts,
-    })
+    let opts = BatchOptions {
+        directives: *directives,
+        flow,
+        cache_dir: None,
+        target: target.clone(),
+        ..BatchOptions::default()
+    };
+    let (outcome, _) = run_supervised(kernel, &opts).map_err(|e| DriverError(e.to_string()))?;
+    let failure = match outcome {
+        RunOutcome::Completed(a) => {
+            return Ok(FlowOutcome {
+                report: a.csynth,
+                cosim_err: a.cosim_max_err,
+            })
+        }
+        RunOutcome::Degraded { reason, .. } => format!("degraded: {reason}"),
+        RunOutcome::Failed(e) => e.to_string(),
+        RunOutcome::Panicked { message } => format!("panicked: {message}"),
+    };
+    Err(DriverError(format!(
+        "{} ({}): {failure}",
+        kernel.name,
+        flow.label()
+    )))
 }
 
 /// Run one kernel through both flows.
@@ -105,10 +117,10 @@ pub fn run_experiment(
     })
 }
 
-/// Run the whole suite (in parallel) with uniform directives.
+/// Run the whole suite with uniform directives.
 pub fn run_suite(directives: &Directives, target: &Target) -> Result<Vec<ExperimentRow>> {
     kernels::all_kernels()
-        .par_iter()
+        .iter()
         .map(|k| run_experiment(k, directives, target))
         .collect()
 }

@@ -17,11 +17,11 @@
 //! [`FlowError`] into a deterministic fault whose detail is the
 //! [`DriverError`] text.
 //!
-//! The driver also hosts the experiment harness used by the bench binaries:
-//! it runs kernels through both flows (in parallel with rayon), co-simulates
-//! against the reference implementations, and collects csynth reports and
-//! flow timings — plus the [`batch`] engine behind `mha-batch`, which runs
-//! the whole suite on a worker pool over the content-addressed [`cache`].
+//! The driver also hosts the [`batch`] engine behind `mha-batch`, which runs
+//! the whole suite on a worker pool over the content-addressed [`cache`],
+//! and the experiment harness used by the bench binaries, which runs each
+//! kernel through both flows on that engine and collects the csynth
+//! reports and co-simulation errors.
 //!
 //! # Example: run one kernel through the adaptor flow
 //!

@@ -90,7 +90,7 @@
 //! cooperative drain — workers finish their in-flight requests, journal
 //! them, and exit. See OPERATIONS.md for the runbook.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -617,10 +617,9 @@ struct ServerState {
     responses: Mutex<ResponseCache>,
     /// Worker-process pool (`--isolate`); `None` compiles in-process.
     warden: Option<Warden>,
-    /// Per-digest response-write attempt counters, keying the
-    /// `serve/response` chaos site so an injected socket reset clears on
-    /// the client's retry (same attempt semantics as the batch sites).
-    response_attempts: Mutex<HashMap<String, u32>>,
+    /// Digests whose first worker response has rolled the
+    /// `serve/response` chaos site (touched only under `--chaos`).
+    reset_rolled: Mutex<HashSet<String>>,
     metrics: Mutex<Metrics>,
 }
 
@@ -666,6 +665,17 @@ impl ServerState {
             return true;
         }
         false
+    }
+
+    /// The `serve/response` chaos site, rolled before a worker answers: an
+    /// injected socket reset drops the connection *after* the response was
+    /// journaled, so nothing cacheable is lost and the client's retry
+    /// replays it. Only a digest's first worker response is eligible, so a
+    /// retry always recovers, even at injection rate 1.0.
+    fn response_reset(&self, digest: &str) -> bool {
+        self.chaos.is_some()
+            && self.reset_rolled.lock().unwrap().insert(digest.to_string())
+            && self.roll_chaos(digest, "serve/response", 0, &[ChaosFault::SocketReset])
     }
 }
 
@@ -767,7 +777,7 @@ impl Server {
             inflight: Mutex::new(HashMap::new()),
             responses: Mutex::new(responses),
             warden,
-            response_attempts: Mutex::new(HashMap::new()),
+            reset_rolled: Mutex::new(HashSet::new()),
             metrics: Mutex::new(Metrics::default()),
             config,
         });
@@ -851,19 +861,11 @@ fn acceptor_loop(listener: TcpListener, state: Arc<ServerState>) {
                 {
                     state.note_sockopt("write timeout", &e);
                 }
-                let mut conn = Box::new(Conn::new(stream, peer));
+                let conn = Box::new(Conn::new(stream, peer));
                 if state.conns.len() >= max_backlog {
-                    let mut m = state.metrics.lock().unwrap();
-                    m.accept_rejects += 1;
-                    m.count_code(429);
-                    drop(m);
-                    let wire = Wire {
-                        code: 429,
-                        body: error_body(429, "connection backlog full"),
-                        served: None,
-                        retry_after_s: Some(1),
-                    };
-                    let _ = write_wire(&mut conn, &wire, false, &state.config);
+                    state.metrics.lock().unwrap().accept_rejects += 1;
+                    let wire = Wire::plain(429, error_body(429, "connection backlog full"));
+                    deliver(&state, conn, &wire, false, None);
                 } else {
                     state.conns.push(conn);
                 }
@@ -890,56 +892,43 @@ enum PollOutcome {
 }
 
 fn intake_loop(state: Arc<ServerState>) {
+    let header_deadline = Duration::from_millis(state.config.header_deadline_ms);
+    let idle_limit = Duration::from_millis(state.config.keepalive_idle_ms);
     loop {
         let mut conn = match state.conns.pop_wait(Duration::from_millis(50)) {
             ConnPop::Conn(c) => c,
             ConnPop::Empty => continue,
             ConnPop::Closed => return,
         };
-        match poll_conn(&state, &mut conn) {
+        let mut outcome = poll_conn(&state, &mut conn);
+        // A head dribbling in past its deadline is a slow-loris.
+        if matches!(outcome, PollOutcome::Pending)
+            && conn
+                .head_started
+                .is_some_and(|t| t.elapsed() >= header_deadline)
+        {
+            outcome = PollOutcome::Bad(408, "header read deadline exceeded".into());
+        }
+        match outcome {
             PollOutcome::Ready(req) => dispatch(&state, conn, req),
             PollOutcome::Gone => {}
             PollOutcome::Bad(code, detail) => {
-                let mut m = state.metrics.lock().unwrap();
-                m.count_code(code);
                 if code == 408 && conn.head_started.is_some() {
-                    m.header_timeouts += 1;
+                    state.metrics.lock().unwrap().header_timeouts += 1;
                 }
-                drop(m);
-                let wire = Wire {
-                    code,
-                    body: error_body(code, &detail),
-                    served: None,
-                    retry_after_s: None,
-                };
                 // Connection state is unknown after malformed input: close.
-                let _ = write_wire(&mut conn, &wire, false, &state.config);
+                deliver(
+                    &state,
+                    conn,
+                    &Wire::plain(code, error_body(code, &detail)),
+                    false,
+                    None,
+                );
             }
-            PollOutcome::Pending => {
-                let cfg = &state.config;
-                if let Some(started) = conn.head_started {
-                    // A head is dribbling in: the slow-loris deadline.
-                    if started.elapsed() >= Duration::from_millis(cfg.header_deadline_ms) {
-                        let mut m = state.metrics.lock().unwrap();
-                        m.count_code(408);
-                        m.header_timeouts += 1;
-                        drop(m);
-                        let wire = Wire {
-                            code: 408,
-                            body: error_body(408, "header read deadline exceeded"),
-                            served: None,
-                            retry_after_s: None,
-                        };
-                        let _ = write_wire(&mut conn, &wire, false, cfg);
-                        continue;
-                    }
-                } else if conn.idle_since.elapsed() >= Duration::from_millis(cfg.keepalive_idle_ms)
-                {
-                    // Idle reap (both fresh-and-silent and between-requests).
-                    continue;
-                }
-                state.conns.push(conn);
-            }
+            // Idle reap (both fresh-and-silent and between-requests).
+            PollOutcome::Pending
+                if conn.head_started.is_none() && conn.idle_since.elapsed() >= idle_limit => {}
+            PollOutcome::Pending => state.conns.push(conn),
         }
     }
 }
@@ -1145,10 +1134,45 @@ struct Wire {
     code: u16,
     body: String,
     served: Option<Served>,
-    /// Explicit back-off hint; every `429`/`503` gets `Retry-After`
-    /// regardless (defaulting to 1 s), so clients can always distinguish
-    /// "come back later" from a hard failure.
+    /// Explicit back-off hint for a `429`/`503`; see [`Wire::retry_after`].
     retry_after_s: Option<u64>,
+}
+
+impl Wire {
+    /// A response that is not a compile result (or a compile refused
+    /// before it could run).
+    fn plain(code: u16, body: String) -> Wire {
+        Wire {
+            code,
+            body,
+            served: None,
+            retry_after_s: None,
+        }
+    }
+
+    /// A stored response shared with this request: coalesced onto the
+    /// compile that produced it, or replayed from the response cache
+    /// (`warm` when the entry came from the journal).
+    fn replay(r: StoredResponse, coalesced: bool) -> Wire {
+        let served = if coalesced {
+            Served::Coalesced
+        } else if r.from_journal {
+            Served::Warm
+        } else {
+            Served::Cache
+        };
+        Wire {
+            served: Some(served),
+            ..Wire::plain(r.code, r.body)
+        }
+    }
+
+    /// The `Retry-After` seconds: every `429`/`503` carries one
+    /// (defaulting to 1 s), so clients can always distinguish "come back
+    /// later" from a hard failure; no other status does.
+    fn retry_after(&self) -> Option<u64> {
+        matches!(self.code, 429 | 503).then(|| self.retry_after_s.unwrap_or(1))
+    }
 }
 
 fn connection_headers(keep: bool, conn_served: u32, cfg: &ServeConfig) -> String {
@@ -1164,17 +1188,13 @@ fn connection_headers(keep: bool, conn_served: u32, cfg: &ServeConfig) -> String
     }
 }
 
-fn retry_after_header(w: &Wire) -> String {
-    if w.code == 429 || w.code == 503 {
-        format!("Retry-After: {}\r\n", w.retry_after_s.unwrap_or(1))
-    } else {
-        String::new()
-    }
-}
-
 fn write_wire(conn: &mut Conn, w: &Wire, keep: bool, cfg: &ServeConfig) -> io::Result<()> {
     let served_header = match w.served {
         Some(s) => format!("X-Mha-Served: {}\r\n", s.as_str()),
+        None => String::new(),
+    };
+    let retry_header = match w.retry_after() {
+        Some(s) => format!("Retry-After: {s}\r\n"),
         None => String::new(),
     };
     // One write per response: head and body split across two segments
@@ -1185,7 +1205,7 @@ fn write_wire(conn: &mut Conn, w: &Wire, keep: bool, cfg: &ServeConfig) -> io::R
         reason(w.code),
         w.body.len(),
         served_header,
-        retry_after_header(w),
+        retry_header,
         connection_headers(keep, conn.served, cfg),
         w.body,
     );
@@ -1246,7 +1266,7 @@ fn stream_finish(conn: &mut Conn, st: &mut StreamSt, w: &Wire) -> bool {
         .map(|s| format!(",\"served\":{}", json_str(s.as_str())))
         .unwrap_or_default();
     let retry = w
-        .retry_after_s
+        .retry_after()
         .map(|s| format!(",\"retry_after_s\":{s}"))
         .unwrap_or_default();
     stream_event(
@@ -1273,12 +1293,6 @@ fn error_body(code: u16, detail: &str) -> String {
     )
 }
 
-// MARK: dispatch/workers (appended below)
-
-// ---------------------------------------------------------------------------
-// Dispatch (intake side)
-// ---------------------------------------------------------------------------
-
 /// Whether the connection may be kept alive after the next response.
 fn keep_ok(state: &ServerState, requested: bool, conn_served: u32) -> bool {
     state.config.keepalive
@@ -1287,95 +1301,64 @@ fn keep_ok(state: &ServerState, requested: bool, conn_served: u32) -> bool {
         && conn_served + 1 < state.config.keepalive_max_requests
 }
 
-/// Write `wire`, then either requeue the connection for its next request
-/// or let it drop (which closes it).
-fn finish(state: &ServerState, mut conn: Box<Conn>, wire: &Wire, keep_wanted: bool) {
+/// The one place a response leaves the server: count its status, write it
+/// plainly or as the `done` event that finishes a progress stream (begun
+/// here unless the worker began it before compiling), then hand a
+/// keep-alive connection back to intake or drop it (which closes it).
+fn deliver(
+    state: &ServerState,
+    mut conn: Box<Conn>,
+    wire: &Wire,
+    keep_wanted: bool,
+    stream: Option<(StreamSt, &str)>,
+) {
+    state.metrics.lock().unwrap().count_code(wire.code);
     let keep = keep_ok(state, keep_wanted, conn.served);
-    if write_wire(&mut conn, wire, keep, &state.config).is_ok() && keep {
+    let written = match stream {
+        Some((mut st, digest)) => {
+            stream_begin(&mut conn, &mut st, digest, keep, &state.config);
+            stream_finish(&mut conn, &mut st, wire)
+        }
+        None => write_wire(&mut conn, wire, keep, &state.config).is_ok(),
+    };
+    if written && keep {
         conn.reset_for_next();
         state.conns.push(conn);
     }
 }
 
-fn dispatch(state: &Arc<ServerState>, conn: Box<Conn>, req: HttpRequest) {
+// MARK: dispatch/workers (appended below)
+
+// ---------------------------------------------------------------------------
+// Dispatch (intake side)
+// ---------------------------------------------------------------------------
+
+fn dispatch(state: &ServerState, conn: Box<Conn>, req: HttpRequest) {
     if conn.served > 0 {
         state.metrics.lock().unwrap().keepalive_reuses += 1;
     }
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/compile") => dispatch_compile(state, conn, req),
-        ("GET", "/v1/status") => {
-            let body = status_body(state);
-            state.metrics.lock().unwrap().count_code(200);
-            let wire = Wire {
-                code: 200,
-                body,
-                served: None,
-                retry_after_s: None,
-            };
-            finish(state, conn, &wire, req.keep_alive);
+    let (code, body) = match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/v1/compile") => return dispatch_compile(state, conn, req),
+        ("GET", "/v1/status") => (200, status_body(state)),
+        ("GET", "/v1/healthz") if state.draining() => {
+            (503, "{\"ok\":false,\"draining\":true}".to_string())
         }
-        ("GET", "/v1/healthz") => {
-            let (code, body) = if state.draining() {
-                (503, "{\"ok\":false,\"draining\":true}".to_string())
-            } else {
-                (200, "{\"ok\":true}".to_string())
-            };
-            state.metrics.lock().unwrap().count_code(code);
-            let wire = Wire {
-                code,
-                body,
-                served: None,
-                retry_after_s: Some(1),
-            };
-            finish(state, conn, &wire, req.keep_alive);
-        }
+        ("GET", "/v1/healthz") => (200, "{\"ok\":true}".to_string()),
         ("POST", "/v1/shutdown") => {
             state.begin_drain();
-            state.metrics.lock().unwrap().count_code(200);
-            let wire = Wire {
-                code: 200,
-                body: "{\"draining\":true}".to_string(),
-                served: None,
-                retry_after_s: None,
-            };
-            finish(state, conn, &wire, false);
+            (200, "{\"draining\":true}".to_string())
         }
-        ("GET", _) | ("POST", _) => {
-            state.metrics.lock().unwrap().count_code(404);
-            let wire = Wire {
-                code: 404,
-                body: error_body(404, "no such endpoint"),
-                served: None,
-                retry_after_s: None,
-            };
-            finish(state, conn, &wire, req.keep_alive);
-        }
-        _ => {
-            state.metrics.lock().unwrap().count_code(405);
-            let wire = Wire {
-                code: 405,
-                body: error_body(405, "use GET or POST"),
-                served: None,
-                retry_after_s: None,
-            };
-            finish(state, conn, &wire, req.keep_alive);
-        }
-    }
+        ("GET", _) | ("POST", _) => (404, error_body(404, "no such endpoint")),
+        _ => (405, error_body(405, "use GET or POST")),
+    };
+    deliver(state, conn, &Wire::plain(code, body), req.keep_alive, None);
 }
 
-/// `Retry-After` hint for replayed/shared responses.
-fn retry_for(code: u16) -> Option<u64> {
-    if code == 429 || code == 503 {
-        Some(1)
-    } else {
-        None
-    }
-}
-
+/// Fold a compile response into the request counters; its status is
+/// counted by [`deliver`].
 fn record_compile_metrics(state: &ServerState, wire: &Wire, start: Instant, streamed: bool) {
     let mut m = state.metrics.lock().unwrap();
     m.request.record(start.elapsed().as_micros() as u64);
-    m.count_code(wire.code);
     if streamed {
         m.streamed += 1;
     }
@@ -1388,77 +1371,37 @@ fn record_compile_metrics(state: &ServerState, wire: &Wire, start: Instant, stre
     }
 }
 
-/// Deliver a compile response from the intake side (warm/cache hits and
-/// sheds — never subject to response chaos, mirroring "warm hits are
-/// never shed").
-fn deliver_inline(
-    state: &ServerState,
-    mut conn: Box<Conn>,
-    wire: &Wire,
-    keep_wanted: bool,
-    stream_mode: bool,
-    digest: &str,
-) {
-    let keep = keep_ok(state, keep_wanted, conn.served);
-    let ok = if stream_mode {
-        let mut st = StreamSt::default();
-        stream_begin(&mut conn, &mut st, digest, keep, &state.config);
-        stream_finish(&mut conn, &mut st, wire)
-    } else {
-        write_wire(&mut conn, wire, keep, &state.config).is_ok()
-    };
-    if ok && keep {
-        conn.reset_for_next();
-        state.conns.push(conn);
-    }
-}
-
-fn dispatch_compile(state: &Arc<ServerState>, conn: Box<Conn>, req: HttpRequest) {
+fn dispatch_compile(state: &ServerState, conn: Box<Conn>, req: HttpRequest) {
     let start = Instant::now();
     if state.draining() {
-        state.metrics.lock().unwrap().count_code(503);
-        let wire = Wire {
-            code: 503,
-            body: error_body(503, "draining; retry against the restarted instance"),
-            served: None,
-            retry_after_s: Some(1),
-        };
-        finish(state, conn, &wire, false);
-        return;
+        let detail = "draining; retry against the restarted instance";
+        return deliver(
+            state,
+            conn,
+            &Wire::plain(503, error_body(503, detail)),
+            false,
+            None,
+        );
     }
     let creq = match CompileRequest::parse(&req.body) {
         Ok(r) => r,
         Err(e) => {
-            state.metrics.lock().unwrap().count_code(400);
-            let wire = Wire {
-                code: 400,
-                body: error_body(400, &e),
-                served: None,
-                retry_after_s: None,
-            };
-            finish(state, conn, &wire, req.keep_alive);
-            return;
+            let wire = Wire::plain(400, error_body(400, &e));
+            return deliver(state, conn, &wire, req.keep_alive, None);
         }
     };
     let digest = creq.digest(&state.config);
 
-    // Warm/cache fast path: answered inline, never queued, never shed.
+    // Warm/cache fast path: answered inline, never queued, never shed,
+    // never subject to response chaos.
     let hit = state.responses.lock().unwrap().get(&digest);
     if let Some(r) = hit {
-        let served = if r.from_journal {
-            Served::Warm
-        } else {
-            Served::Cache
-        };
-        let wire = Wire {
-            retry_after_s: retry_for(r.code),
-            code: r.code,
-            body: r.body,
-            served: Some(served),
-        };
+        let wire = Wire::replay(r, false);
         record_compile_metrics(state, &wire, start, req.stream_mode);
-        deliver_inline(state, conn, &wire, req.keep_alive, req.stream_mode, &digest);
-        return;
+        let stream = req
+            .stream_mode
+            .then_some((StreamSt::default(), digest.as_str()));
+        return deliver(state, conn, &wire, req.keep_alive, stream);
     }
 
     // Cold compile: admit under the fairness/shedding policy.
@@ -1479,25 +1422,20 @@ fn dispatch_compile(state: &Arc<ServerState>, conn: Box<Conn>, req: HttpRequest)
     match state.queue.try_admit(&client, class, job) {
         Ok(_) => state.metrics.lock().unwrap().queued += 1,
         Err((job, shed)) => {
-            let mut m = state.metrics.lock().unwrap();
             match class {
-                ShedClass::Raw => m.shed_raw += 1,
-                ShedClass::Suite => m.shed_suite += 1,
+                ShedClass::Raw => state.metrics.lock().unwrap().shed_raw += 1,
+                ShedClass::Suite => state.metrics.lock().unwrap().shed_suite += 1,
             }
-            m.count_code(429);
-            m.request.record(start.elapsed().as_micros() as u64);
-            drop(m);
             let detail = match shed.reason {
                 ShedReason::Full => "admission queue full; request shed",
                 ShedReason::Pressure => "admission queue under pressure; request shed",
             };
             let wire = Wire {
-                code: 429,
-                body: error_body(429, detail),
-                served: None,
                 retry_after_s: Some(shed.retry_after_s),
+                ..Wire::plain(429, error_body(429, detail))
             };
-            finish(state, job.conn, &wire, job.keep);
+            record_compile_metrics(state, &wire, start, false);
+            deliver(state, job.conn, &wire, job.keep, None);
         }
     }
 }
@@ -1520,192 +1458,111 @@ fn worker_loop(state: Arc<ServerState>) {
     }
 }
 
-/// Deliver a worker-produced compile response. The `serve/response` chaos
-/// site lives here: an injected socket reset drops the connection *after*
-/// the response was journaled, so nothing cacheable is ever lost — the
-/// client's retry replays it warm. The per-digest attempt counter lets
-/// the fault clear on retry, like every transient chaos site.
-fn respond_job(
-    state: &ServerState,
-    mut conn: Box<Conn>,
-    wire: &Wire,
-    keep_wanted: bool,
-    stream_mode: bool,
-    digest: &str,
-    mut st: StreamSt,
-) {
-    let attempt = {
-        let mut map = state.response_attempts.lock().unwrap();
-        let a = map.entry(digest.to_string()).or_insert(0);
-        let cur = *a;
-        *a += 1;
-        cur
-    };
-    // Only the first write attempt per digest is eligible for a reset, so
-    // a client retry always recovers — even at injection rate 1.0.
-    if attempt == 0
-        && state.roll_chaos(
-            digest,
-            "serve/response",
-            attempt,
-            &[ChaosFault::SocketReset],
-        )
-    {
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        return;
-    }
-    let keep = keep_ok(state, keep_wanted, conn.served);
-    let ok = if stream_mode {
-        stream_begin(&mut conn, &mut st, digest, keep, &state.config);
-        stream_finish(&mut conn, &mut st, wire)
-    } else {
-        write_wire(&mut conn, wire, keep, &state.config).is_ok()
-    };
-    if ok && keep {
-        conn.reset_for_next();
-        state.conns.push(conn);
-    }
-}
-
-fn process_job(state: &Arc<ServerState>, job: QueuedJob) {
-    let QueuedJob {
-        mut conn,
-        req,
-        digest,
-        stream_mode,
-        keep,
-        start,
-    } = job;
-
-    // Chaos: stall this worker before it starts (queue pressure builds).
-    if state.roll_chaos(&digest, "serve/worker", 0, &[ChaosFault::WorkerStall]) {
-        std::thread::sleep(Duration::from_millis(150));
-    }
-
-    // A duplicate may have completed while this job sat in the queue.
-    let hit = state.responses.lock().unwrap().get(&digest);
-    if let Some(r) = hit {
-        let served = if r.from_journal {
-            Served::Warm
-        } else {
-            Served::Cache
-        };
-        let wire = Wire {
-            retry_after_s: retry_for(r.code),
-            code: r.code,
-            body: r.body,
-            served: Some(served),
-        };
-        record_compile_metrics(state, &wire, start, stream_mode);
-        respond_job(
-            state,
-            conn,
-            &wire,
-            keep,
-            stream_mode,
-            &digest,
-            StreamSt::default(),
-        );
-        return;
-    }
-
-    // Coalesce onto an identical in-flight request, or claim the slot.
+/// Claim the in-flight slot for `digest`, or, when an identical compile
+/// already holds it, wait for the response that compile publishes.
+fn coalesce_or_claim(state: &ServerState, digest: &str) -> Option<StoredResponse> {
     let inflight = {
         let mut map = state.inflight.lock().unwrap();
-        match map.get(&digest) {
-            Some(found) => Some(Arc::clone(found)),
+        match map.get(digest) {
+            Some(found) => Arc::clone(found),
             None => {
-                map.insert(
-                    digest.clone(),
-                    Arc::new(Inflight {
-                        slot: Mutex::new(None),
-                        done: Condvar::new(),
-                    }),
-                );
-                None
+                let slot = Inflight {
+                    slot: Mutex::new(None),
+                    done: Condvar::new(),
+                };
+                map.insert(digest.to_string(), Arc::new(slot));
+                return None;
             }
         }
     };
-    if let Some(inflight) = inflight {
-        let mut slot = inflight.slot.lock().unwrap();
-        while slot.is_none() {
-            slot = inflight.done.wait(slot).unwrap();
-        }
-        let r = slot.as_ref().unwrap().clone();
-        drop(slot);
-        let wire = Wire {
-            retry_after_s: retry_for(r.code),
-            code: r.code,
-            body: r.body,
-            served: Some(Served::Coalesced),
-        };
-        record_compile_metrics(state, &wire, start, stream_mode);
-        respond_job(
-            state,
-            conn,
-            &wire,
-            keep,
-            stream_mode,
-            &digest,
-            StreamSt::default(),
-        );
-        return;
+    let slot = inflight.slot.lock().unwrap();
+    let slot = inflight.done.wait_while(slot, |s| s.is_none()).unwrap();
+    slot.clone()
+}
+
+fn process_job(state: &ServerState, mut job: QueuedJob) {
+    // Chaos: stall this worker before it starts (queue pressure builds).
+    if state.roll_chaos(&job.digest, "serve/worker", 0, &[ChaosFault::WorkerStall]) {
+        std::thread::sleep(Duration::from_millis(150));
     }
 
-    // We own the compilation: breaker decision, journal, compile, publish.
+    // A duplicate may have completed while this job sat in the queue, or
+    // may still be compiling; otherwise this job owns the compilation.
+    let mut st = StreamSt::default();
+    let hit = state.responses.lock().unwrap().get(&job.digest);
+    let wire = match hit {
+        Some(r) => Wire::replay(r, false),
+        None => match coalesce_or_claim(state, &job.digest) {
+            Some(r) => Wire::replay(r, true),
+            None => compile_owned(state, &mut job, &mut st),
+        },
+    };
+    record_compile_metrics(state, &wire, job.start, job.stream_mode);
+    if state.response_reset(&job.digest) {
+        // The status is counted as if delivered: the response exists and
+        // is journaled; only the socket was lost.
+        state.metrics.lock().unwrap().count_code(wire.code);
+        let _ = job.conn.stream.shutdown(std::net::Shutdown::Both);
+        return;
+    }
+    let stream = job.stream_mode.then_some((st, job.digest.as_str()));
+    deliver(state, job.conn, &wire, job.keep, stream);
+}
+
+/// Run the compilation `job` owns under the breaker, then publish its
+/// response to the response cache, the journal and any coalesced waiters.
+/// A streamed request gets its stream head and stage events as it runs.
+fn compile_owned(state: &ServerState, job: &mut QueuedJob, st: &mut StreamSt) -> Wire {
+    let QueuedJob {
+        conn, req, digest, ..
+    } = job;
     let decision = state.breaker.admit();
     let degrade = decision == BreakerDecision::Degrade;
-    let mut st = StreamSt::default();
-    if stream_mode {
-        // The stream head goes out before compiling; keep-alive is
-        // advertised optimistically and re-checked at delivery.
-        let keep_adv = keep_ok(state, keep, conn.served);
-        stream_begin(&mut conn, &mut st, &digest, keep_adv, &state.config);
+    if job.stream_mode {
+        // Keep-alive is advertised optimistically and re-checked at
+        // delivery.
+        let keep_adv = keep_ok(state, job.keep, conn.served);
+        stream_begin(conn, st, digest, keep_adv, &state.config);
     }
-    let result = if degrade && req.flow == Flow::Cpp {
+    let (wire, transient) = if degrade && req.flow == Flow::Cpp {
         // Already on the deterministic path: nothing to degrade to.
         state.metrics.lock().unwrap().breaker_rejects += 1;
-        let retry_s = state.breaker.retry_after_ms().div_ceil(1000).max(1);
-        CompileResult {
-            code: 503,
-            body: error_body(503, "circuit breaker open; retry after cooldown"),
-            transient: false,
-            retry_after_s: Some(retry_s),
-        }
+        let body = error_body(503, "circuit breaker open; retry after cooldown");
+        let wire = Wire {
+            served: Some(Served::Compiled),
+            retry_after_s: Some(state.breaker.retry_after_ms().div_ceil(1000).max(1)),
+            ..Wire::plain(503, body)
+        };
+        (wire, false)
     } else {
         if degrade {
             state.metrics.lock().unwrap().breaker_degraded += 1;
         } else if let Some(j) = &state.journal {
-            if let Err(e) = j.begin(&digest) {
+            if let Err(e) = j.begin(digest) {
                 state.note_journal_failure(&e);
             }
         }
-        let mut r = compile_locked(state, &req, &digest, degrade, &mut |stage| {
-            stream_event(
-                &mut conn,
-                &mut st,
-                &format!("{{\"event\":\"stage\",\"stage\":{}}}", json_str(stage)),
-            );
-        });
-        r.retry_after_s = retry_for(r.code);
-        r
+        compile_locked(state, req, digest, degrade, &mut |stage| {
+            let event = format!("{{\"event\":\"stage\",\"stage\":{}}}", json_str(stage));
+            stream_event(conn, st, &event);
+        })
     };
-    if decision != BreakerDecision::Degrade {
+    if !degrade {
         state
             .breaker
-            .report(decision == BreakerDecision::Probe, result.transient);
+            .report(decision == BreakerDecision::Probe, transient);
     }
     let stored = StoredResponse {
-        code: result.code,
-        body: result.body.clone(),
+        code: wire.code,
+        body: wire.body.clone(),
         from_journal: false,
     };
     // Breaker-degraded (and breaker-rejected) responses are not canonical
     // for the digest — they depend on breaker state, not request identity
     // — so they are never cached or journaled.
-    if !degrade && cacheable(result.code) {
+    if !degrade && cacheable(wire.code) {
         if let Some(j) = &state.journal {
-            if let Err(e) = j.finish(&digest, &stored_to_journal(&stored)) {
+            if let Err(e) = j.finish(digest, &stored_to_journal(&stored)) {
                 state.note_journal_failure(&e);
             }
         }
@@ -1716,19 +1573,12 @@ fn process_job(state: &Arc<ServerState>, job: QueuedJob) {
             .insert(digest.clone(), stored.clone());
     }
     // Publish to coalesced waiters before releasing the in-flight slot.
-    let inflight = state.inflight.lock().unwrap().remove(&digest);
+    let inflight = state.inflight.lock().unwrap().remove(digest.as_str());
     if let Some(inflight) = inflight {
         *inflight.slot.lock().unwrap() = Some(stored);
         inflight.done.notify_all();
     }
-    let wire = Wire {
-        code: result.code,
-        body: result.body,
-        served: Some(Served::Compiled),
-        retry_after_s: result.retry_after_s,
-    };
-    record_compile_metrics(state, &wire, start, stream_mode);
-    respond_job(state, conn, &wire, keep, stream_mode, &digest, st);
+    wire
 }
 
 // MARK: status/compile endpoint (appended below)
@@ -1960,16 +1810,8 @@ fn stored_from_journal(v: &JsonValue) -> Option<StoredResponse> {
     })
 }
 
-/// The worker-side result of running one compile.
-struct CompileResult {
-    code: u16,
-    body: String,
-    /// The outcome was a transient fault (feeds the breaker).
-    transient: bool,
-    retry_after_s: Option<u64>,
-}
-
-/// Run the request's pipeline and produce the response document:
+/// Run the request's pipeline and produce the response document, plus
+/// whether the outcome was a transient fault (which feeds the breaker):
 ///
 /// ```json
 /// {"kernel": "...", "digest": "...", "flow": "adaptor",
@@ -1989,7 +1831,7 @@ fn compile_locked(
     digest: &str,
     degrade: bool,
     progress: &mut dyn FnMut(&str),
-) -> CompileResult {
+) -> (Wire, bool) {
     let flow = if degrade { Flow::Cpp } else { req.flow };
     let (outcome, warnings) = compile_source(state, req, digest, flow, degrade, progress);
     let outcome = if degrade {
@@ -2048,12 +1890,11 @@ fn compile_locked(
         json_str(flow.label()),
         outcome_to_json(&outcome),
     );
-    CompileResult {
-        code,
-        body,
-        transient,
-        retry_after_s: None,
-    }
+    let wire = Wire {
+        served: Some(Served::Compiled),
+        ..Wire::plain(code, body)
+    };
+    (wire, transient)
 }
 
 /// Compile one request through the supervised engine ([`run_source`]):

@@ -187,10 +187,13 @@ impl Budget {
         if let Some(d) = self.deadline {
             let now = Instant::now();
             if now >= d {
+                // One fixed unit, so one trip site renders one shape
+                // whatever the overshoot's magnitude.
+                let over_us = now.saturating_duration_since(d).as_micros();
                 return Err(BudgetError::new(
                     BudgetKind::Deadline,
                     stage,
-                    format!("wall clock over by {:?}", now.saturating_duration_since(d)),
+                    format!("wall clock over by {over_us}µs"),
                 ));
             }
         }

@@ -920,3 +920,94 @@ fn out_of_range_directives_are_rejected_not_aliased() {
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every response leaves the server through one delivery path, which
+/// counts its status. One response of each deterministic kind, then
+/// `/v1/status` must report exactly the client's own tally: `codes` per
+/// status, and `compile_total` equal to the compile responses (those
+/// carrying `X-Mha-Served`).
+#[test]
+fn every_response_is_counted_exactly_once() {
+    let dir = temp_dir("count-once");
+    let server = Server::start(ServeConfig {
+        max_body: 1024,
+        ..config(&dir)
+    })
+    .expect("server starts");
+    let addr = server.addr();
+
+    let mut codes = std::collections::BTreeMap::<u16, u64>::new();
+    let mut compile_responses = 0u64;
+    let mut tally = |(code, served, body): (u16, String, String), want: u16| {
+        assert_eq!(code, want, "served '{served}', body: {body}");
+        *codes.entry(code).or_insert(0) += 1;
+        if !served.is_empty() {
+            compile_responses += 1;
+        }
+        served
+    };
+    assert_eq!(
+        tally(compile(addr, "{\"kernel\":\"fir\"}"), 200),
+        "compiled"
+    );
+    assert_eq!(tally(compile(addr, "{\"kernel\":\"fir\"}"), 200), "cache");
+    tally(http(addr, "GET", "/v1/status", ""), 200);
+    tally(http(addr, "GET", "/v1/healthz", ""), 200);
+    assert_eq!(tally(compile(addr, "{\"kernel\":"), 400), "");
+    tally(http(addr, "GET", "/v1/no-such", ""), 404);
+    tally(http(addr, "PUT", "/v1/compile", ""), 405);
+    let unparsable = "{\"mlir\":\"not an mlir module\",\"name\":\"bad\"}";
+    assert_eq!(tally(compile(addr, unparsable), 422), "compiled");
+    assert_eq!(
+        tally(compile(addr, "{\"kernel\":\"two_mm\",\"fuel\":1}"), 429),
+        "compiled"
+    );
+    assert_eq!(
+        tally(
+            compile(addr, "{\"kernel\":\"gemm\",\"deadline_ms\":0}"),
+            408
+        ),
+        "compiled"
+    );
+    // A head announcing a body over `max_body` is refused before the body
+    // is read, so the head alone draws the 413.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    reader
+        .get_mut()
+        .write_all(b"POST /v1/compile HTTP/1.1\r\nHost: test\r\nContent-Length: 4096\r\n\r\n")
+        .expect("send head");
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line).expect("status line");
+    let code = status_line
+        .split_whitespace()
+        .nth(1)
+        .unwrap()
+        .parse()
+        .unwrap();
+    tally((code, String::new(), status_line), 413);
+
+    let (_, _, status) = http(addr, "GET", "/v1/status", "");
+    let v = pass_core::json::parse(&status).unwrap();
+    let requests = v.get("requests").unwrap();
+    let counted: std::collections::BTreeMap<u16, u64> = requests
+        .get("codes")
+        .unwrap()
+        .as_obj()
+        .unwrap()
+        .iter()
+        .map(|(k, n)| (k.parse().unwrap(), n.as_u64().unwrap()))
+        .collect();
+    assert_eq!(counted, codes, "status codes vs the client's tally");
+    assert_eq!(
+        requests.get("compile_total").unwrap().as_u64(),
+        Some(compile_responses),
+        "{status}"
+    );
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
