@@ -158,15 +158,22 @@ pub fn run_adaptor_budgeted(
     };
     // One instrumented pipeline; the observer samples the compat-issue
     // count after each pass (the Table-4 metric) while pass-core handles
-    // verification, timing, and change tracking.
+    // verification, timing, and change tracking. A pass that reported no
+    // change left the module as it was, so the previous sample stands.
     let pm = build_pipeline(cfg);
     let pipeline = pm
         .run_observed_budgeted(
             m,
             &mut |ir, rec| {
-                report
-                    .issues_after_pass
-                    .push((rec.pass.clone(), compat_issues(ir).len()));
+                let issues = if rec.changed {
+                    compat_issues(ir).len()
+                } else {
+                    report
+                        .issues_after_pass
+                        .last()
+                        .map_or(report.issues_before, |&(_, n)| n)
+                };
+                report.issues_after_pass.push((rec.pass.clone(), issues));
             },
             budget,
         )

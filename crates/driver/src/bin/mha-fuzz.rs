@@ -9,8 +9,8 @@
 //! Walks seeds `[--seed, --seed + --count)`; each seed deterministically
 //! becomes a kernel (same seed, same kernel, on every machine and every
 //! build) and runs through the oracle stack: parse/verify, print∘parse
-//! round-trips at both IR levels, the adaptor flow with
-//! verify-after-each-pass, the HLS-C++ flow, and bit-exact differential
+//! round-trips at both IR levels, the adaptor flow (verified after each
+//! pass that changed the IR), the HLS-C++ flow, and bit-exact differential
 //! execution. Panics and hangs are findings, not crashes.
 //!
 //! With `--legality`, each passing kernel additionally runs the

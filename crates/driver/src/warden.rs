@@ -925,7 +925,8 @@ fn error_reply(message: &str) -> Action {
 
 /// Grow RSS without bound (8 MiB touched pages per step) until the
 /// supervisor's watchdog kills the process; abort as a contained fallback
-/// if no limit is armed.
+/// if no limit is armed. The peak (512 MiB) is held for a second first, so
+/// a watchdog that polls every few milliseconds sees it before the abort.
 fn balloon_rss() -> ! {
     let mut hoard: Vec<Vec<u8>> = Vec::new();
     for _ in 0..64 {
@@ -938,6 +939,7 @@ fn balloon_rss() -> ! {
         hoard.push(chunk);
         thread::sleep(Duration::from_millis(2));
     }
+    thread::sleep(Duration::from_secs(1));
     drop(hoard);
     std::process::abort();
 }

@@ -18,7 +18,8 @@
 //!   multiple buffers, degenerate bounds).
 //! * [`oracle`] — the checks every kernel must survive: parse/verify,
 //!   print∘parse round-trips at both IR levels, both flows through
-//!   [`flow::run`] with verify-after-each-pass, and bit-exact differential
+//!   [`flow::run`] (verified after each pass that changed the IR), and
+//!   bit-exact differential
 //!   execution — each stage under `catch_unwind` and a [`pass_core`]
 //!   budget so panics and hangs become findings, not fuzzer deaths.
 //! * [`sig`] + [`mod@reduce`] + [`campaign`] — normalized failure signatures

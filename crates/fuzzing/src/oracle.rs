@@ -9,8 +9,8 @@
 //! 2. **MLIR round-trip** — `print ∘ parse` must be the identity on the
 //!    printed form at the MLIR-lite level.
 //! 3. **lower + adaptor** — the adaptor flow must legalize the module; the
-//!    pass manager's verify-after-each-pass is on, so a pass that corrupts
-//!    the IR is caught at the pass that did it.
+//!    pass manager verifies after each pass that changed the IR, so a pass
+//!    that corrupts the IR is caught at the pass that did it.
 //! 4. **LLVM round-trip** — the printed `.ll` must re-parse and re-print
 //!    identically.
 //! 5. **C++ flow** — emission, the frontend, and the cleanup fixpoint must
@@ -126,7 +126,8 @@ pub fn run_oracles(src: &str, seed: u64, opts: &OracleOpts) -> Result<(), Failur
     // Read before the C++ flow consumes the module; reported in stage 6.
     let shapes = buffer_shapes(&m);
 
-    // 3. Adaptor flow (lower → adaptor with verify-after-each-pass).
+    // 3. Adaptor flow (lower → adaptor, verified after each pass that
+    //    changed the IR).
     let adaptor_mod = guarded_flow(m.deep_clone(), Flow::Adaptor, &budget)?;
     guarded("llvm-verify", OracleKind::Verify, || {
         llvm_lite::verifier::verify_module(&adaptor_mod).map_err(|e| e.to_string())

@@ -15,7 +15,7 @@ use std::fmt;
 pub enum OracleKind {
     /// Generated/loaded text failed to parse.
     Parse,
-    /// A verifier rejected the IR (including verify-after-each-pass).
+    /// A verifier rejected the IR (including after a pass that changed it).
     Verify,
     /// print ∘ parse was not the identity at some level.
     RoundTrip,

@@ -5,129 +5,217 @@
 //! reader can diff against `mlir-opt` output; anything else falls back to
 //! the quoted generic form. Loop induction variables get readable names
 //! (`%i`, `%j`, `%k`, …) by nesting depth.
+//!
+//! Everything is written into one buffer. A value's printed name is a
+//! small `Name` rendered where it is used, so no name is built as a
+//! string of its own.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::affine::{AffineExpr, AffineMap};
 use crate::attr::Attr;
-use crate::ir::{MValueKind, MlirModule, Op};
+use crate::ir::{MType, MValue, MValueKind, MlirModule, Op};
 
 /// Print a module.
 pub fn print_module(m: &MlirModule) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "module @{} {{", sanitize(&m.name));
+    let mut p = Printer::default();
+    p.out.push_str("module @");
+    write_sanitized(&mut p.out, &m.name);
+    p.out.push_str(" {\n");
     for op in &m.ops {
-        let mut p = Printer::new();
+        // Each top-level op numbers and names its values afresh.
+        p.names.clear();
+        p.used.clear();
+        p.counter = 0;
         p.print_op(op, 1);
-        out.push_str(&p.out);
     }
-    out.push_str("}\n");
-    out
+    p.out.push_str("}\n");
+    p.out
 }
 
 /// Print a single (top-level) op, e.g. one function.
 pub fn print_op(op: &Op) -> String {
-    let mut p = Printer::new();
+    let mut p = Printer::default();
     p.print_op(op, 0);
     p.out
 }
 
-fn sanitize(name: &str) -> String {
-    let s: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if s.is_empty() {
-        "m".to_string()
-    } else {
-        s
+fn write_sanitized(out: &mut String, name: &str) {
+    if name.is_empty() {
+        out.push('m');
+        return;
     }
+    out.extend(name.chars().map(|c| {
+        if c.is_ascii_alphanumeric() || c == '_' {
+            c
+        } else {
+            '_'
+        }
+    }));
 }
 
 const IV_NAMES: &[&str] = &["i", "j", "k", "l", "m", "n", "p", "q"];
 
+/// The base of a block argument's name.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Base {
+    /// `argI`, the I-th function parameter.
+    Param(u32),
+    /// A loop induction variable: `i`, `j`, … by depth, then `iv`.
+    Iv(&'static str),
+}
+
+/// A value's printed name.
+#[derive(Clone, Copy)]
+enum Name {
+    /// An op result: `%N`, numbered in print order.
+    Result(u32),
+    /// A value used but not defined in what was printed: `%vN`.
+    Unseen(u32),
+    /// A block argument: `%base` the first time a base is bound in a
+    /// top-level op, `%base_K` the K-th time after that.
+    Arg(Base, u32),
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Name::Result(n) => write!(f, "%{n}"),
+            Name::Unseen(n) => write!(f, "%v{n}"),
+            Name::Arg(base, k) => {
+                match base {
+                    Base::Param(i) => write!(f, "%arg{i}")?,
+                    Base::Iv(s) => write!(f, "%{s}")?,
+                }
+                if k > 0 {
+                    write!(f, "_{k}")?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+#[derive(Default)]
 struct Printer {
     out: String,
-    /// value name environment: (kind-hash) -> printed name.
-    names: HashMap<(u32, u32, bool), String>,
+    /// Printed name of each value seen so far, keyed by what defines it.
+    names: HashMap<MValueKind, Name>,
     counter: u32,
-    used: HashMap<String, u32>,
+    /// How often each block-argument base has been bound.
+    used: HashMap<Base, u32>,
     depth: usize,
+    /// Names of the dim operands of the op being printed.
+    dims: Vec<Name>,
 }
 
 impl Printer {
-    fn new() -> Printer {
-        Printer {
-            out: String::new(),
-            names: HashMap::new(),
-            counter: 0,
-            used: HashMap::new(),
-            depth: 0,
+    fn pad(&mut self, indent: usize) {
+        for _ in 0..indent {
+            self.out.push_str("  ");
         }
     }
 
-    fn key(kind: &MValueKind) -> (u32, u32, bool) {
-        match kind {
-            MValueKind::OpResult { op, idx } => (*op, *idx, false),
-            MValueKind::BlockArg { block, idx } => (*block, *idx, true),
-        }
-    }
-
-    fn unique(&mut self, base: &str) -> String {
-        let n = self.used.entry(base.to_string()).or_insert(0);
-        let name = if *n == 0 {
-            base.to_string()
-        } else {
-            format!("{base}_{n}")
-        };
+    fn bind_arg(&mut self, block: u32, idx: u32, base: Base) -> Name {
+        let n = self.used.entry(base).or_insert(0);
+        let name = Name::Arg(base, *n);
         *n += 1;
+        self.names.insert(MValueKind::BlockArg { block, idx }, name);
         name
     }
 
-    fn bind(&mut self, kind: &MValueKind, base: &str) -> String {
-        let name = self.unique(base);
-        self.names.insert(Self::key(kind), name.clone());
-        name
+    fn name_of(&mut self, v: &MValue) -> Name {
+        let counter = &mut self.counter;
+        *self.names.entry(v.kind).or_insert_with(|| {
+            // Unseen value (e.g. printing a fragment) — invent a stable name.
+            let n = Name::Unseen(*counter);
+            *counter += 1;
+            n
+        })
     }
 
-    fn name_of(&mut self, kind: &MValueKind) -> String {
-        if let Some(n) = self.names.get(&Self::key(kind)) {
-            return n.clone();
+    fn val(&mut self, v: &MValue) {
+        let n = self.name_of(v);
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// `%a, %b, …`
+    fn vals(&mut self, vs: &[MValue]) {
+        for (i, v) in vs.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.val(v);
         }
-        // Unseen value (e.g. printing a fragment) — invent a stable name.
-        let n = format!("v{}", self.counter);
-        self.counter += 1;
-        self.names.insert(Self::key(kind), n.clone());
-        n
     }
 
-    fn val(&mut self, v: &crate::ir::MValue) -> String {
-        format!("%{}", self.name_of(&v.kind))
-    }
-
-    fn bind_results(&mut self, op: &Op) -> String {
-        if op.result_types.is_empty() {
-            return String::new();
+    /// `t1, t2, …`
+    fn types<'t>(&mut self, tys: impl Iterator<Item = &'t MType>) {
+        for (i, t) in tys.enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let _ = write!(self.out, "{t}");
         }
-        let mut lhs = Vec::new();
+    }
+
+    /// `%r0, %r1 = ` for an op with results; nothing otherwise.
+    fn bind_results(&mut self, op: &Op) {
         for i in 0..op.result_types.len() as u32 {
-            let base = format!("{}", self.counter);
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let name = Name::Result(self.counter);
             self.counter += 1;
-            let name = self.bind(&MValueKind::OpResult { op: op.uid, idx: i }, &base);
-            lhs.push(format!("%{name}"));
+            self.names
+                .insert(MValueKind::OpResult { op: op.uid, idx: i }, name);
+            let _ = write!(self.out, "{name}");
         }
-        format!("{} = ", lhs.join(", "))
+        if !op.result_types.is_empty() {
+            self.out.push_str(" = ");
+        }
+    }
+
+    /// The results of `op`'s affine map over its dim operands `dims`. Every
+    /// dim is named, in operand order, before any is written.
+    fn affine_exprs(&mut self, op: &Op, dims: &[MValue]) {
+        self.dims.clear();
+        for v in dims {
+            let n = self.name_of(v);
+            self.dims.push(n);
+        }
+        let map = op.attrs.get("map").and_then(Attr::as_map);
+        write_exprs(&mut self.out, map, &self.dims);
+    }
+
+    /// ` {k = v, unit_key}` over the attributes `keep` accepts, or nothing
+    /// when none is left.
+    fn attr_dict(&mut self, op: &Op, lead: &str, keep: impl Fn(&str) -> bool) {
+        let mut first = true;
+        for (k, v) in op.attrs.iter().filter(|(k, _)| keep(k)) {
+            self.out.push_str(if first { lead } else { ", " });
+            first = false;
+            match v {
+                Attr::Unit => self.out.push_str(k),
+                _ => {
+                    let _ = write!(self.out, "{k} = {v}");
+                }
+            }
+        }
+        if !first {
+            self.out.push('}');
+        }
+    }
+
+    /// One line at `indent`: the padding, what `body` writes, a newline.
+    fn line(&mut self, indent: usize, body: impl FnOnce(&mut Self)) {
+        self.pad(indent);
+        body(self);
+        self.out.push('\n');
     }
 
     fn print_op(&mut self, op: &Op, indent: usize) {
-        let pad = "  ".repeat(indent);
         match op.name.as_str() {
             "func.func" => self.print_func(op, indent),
             "affine.for" | "scf.for" => self.print_for(op, indent),
@@ -136,216 +224,171 @@ impl Printer {
                 // Implicit terminators: printed only when they carry operands
                 // (they never do in this subset), so elide.
             }
-            "func.return" => {
-                if op.operands.is_empty() {
-                    let _ = writeln!(self.out, "{pad}func.return");
-                } else {
-                    let v = self.val(&op.operands[0]);
-                    let ty = &op.operands[0].ty;
-                    let _ = writeln!(self.out, "{pad}func.return {v} : {ty}");
+            "func.return" => self.line(indent, |p| {
+                p.out.push_str("func.return");
+                if let Some(v) = op.operands.first() {
+                    p.out.push(' ');
+                    p.val(v);
+                    let _ = write!(p.out, " : {}", v.ty);
                 }
-            }
-            "arith.constant" => {
-                let lhs = self.bind_results(op);
-                let value = op.attrs.get("value").cloned().unwrap_or(Attr::i64(0));
-                let _ = writeln!(self.out, "{pad}{lhs}arith.constant {value}");
-            }
-            "affine.load" => {
-                let lhs = self.bind_results(op);
-                let mref = self.val(&op.operands[0]);
-                let map = op.attrs.get("map").and_then(Attr::as_map).cloned();
-                let dims: Vec<String> = op.operands[1..].iter().map(|v| self.val(v)).collect();
-                let subs = subscripts(&map, &dims);
-                let _ = writeln!(
-                    self.out,
-                    "{pad}{lhs}affine.load {mref}[{subs}] : {}",
-                    op.operands[0].ty
-                );
-            }
-            "affine.store" => {
-                let v = self.val(&op.operands[0]);
-                let mref = self.val(&op.operands[1]);
-                let map = op.attrs.get("map").and_then(Attr::as_map).cloned();
-                let dims: Vec<String> = op.operands[2..].iter().map(|v| self.val(v)).collect();
-                let subs = subscripts(&map, &dims);
-                let _ = writeln!(
-                    self.out,
-                    "{pad}affine.store {v}, {mref}[{subs}] : {}",
-                    op.operands[1].ty
-                );
-            }
-            "affine.apply" => {
-                let lhs = self.bind_results(op);
-                let map = op.attrs.get("map").and_then(Attr::as_map).cloned();
-                let dims: Vec<String> = op.operands.iter().map(|v| self.val(v)).collect();
-                let subs = subscripts(&map, &dims);
-                let _ = writeln!(self.out, "{pad}{lhs}affine.apply ({subs})");
-            }
-            "memref.load" => {
-                let lhs = self.bind_results(op);
-                let mref = self.val(&op.operands[0]);
-                let idx: Vec<String> = op.operands[1..].iter().map(|v| self.val(v)).collect();
-                let _ = writeln!(
-                    self.out,
-                    "{pad}{lhs}memref.load {mref}[{}] : {}",
-                    idx.join(", "),
-                    op.operands[0].ty
-                );
-            }
-            "memref.store" => {
-                let v = self.val(&op.operands[0]);
-                let mref = self.val(&op.operands[1]);
-                let idx: Vec<String> = op.operands[2..].iter().map(|v| self.val(v)).collect();
-                let _ = writeln!(
-                    self.out,
-                    "{pad}memref.store {v}, {mref}[{}] : {}",
-                    idx.join(", "),
-                    op.operands[1].ty
-                );
-            }
-            "memref.alloca" | "memref.alloc" => {
-                let lhs = self.bind_results(op);
-                let _ = writeln!(self.out, "{pad}{lhs}{}() : {}", op.name, op.result_types[0]);
-            }
-            "memref.dealloc" => {
-                let v = self.val(&op.operands[0]);
-                let _ = writeln!(self.out, "{pad}memref.dealloc {v} : {}", op.operands[0].ty);
-            }
-            "func.call" => {
-                let lhs = self.bind_results(op);
+            }),
+            "arith.constant" => self.line(indent, |p| {
+                p.bind_results(op);
+                let _ = match op.attrs.get("value") {
+                    Some(value) => write!(p.out, "arith.constant {value}"),
+                    None => write!(p.out, "arith.constant {}", Attr::i64(0)),
+                };
+            }),
+            "affine.load" => self.line(indent, |p| {
+                p.bind_results(op);
+                p.out.push_str("affine.load ");
+                p.val(&op.operands[0]);
+                p.out.push('[');
+                p.affine_exprs(op, &op.operands[1..]);
+                let _ = write!(p.out, "] : {}", op.operands[0].ty);
+            }),
+            "affine.store" => self.line(indent, |p| {
+                p.out.push_str("affine.store ");
+                p.val(&op.operands[0]);
+                p.out.push_str(", ");
+                p.val(&op.operands[1]);
+                p.out.push('[');
+                p.affine_exprs(op, &op.operands[2..]);
+                let _ = write!(p.out, "] : {}", op.operands[1].ty);
+            }),
+            "affine.apply" => self.line(indent, |p| {
+                p.bind_results(op);
+                p.out.push_str("affine.apply (");
+                p.affine_exprs(op, &op.operands);
+                p.out.push(')');
+            }),
+            "memref.load" => self.line(indent, |p| {
+                p.bind_results(op);
+                p.out.push_str("memref.load ");
+                p.val(&op.operands[0]);
+                p.out.push('[');
+                p.vals(&op.operands[1..]);
+                let _ = write!(p.out, "] : {}", op.operands[0].ty);
+            }),
+            "memref.store" => self.line(indent, |p| {
+                p.out.push_str("memref.store ");
+                p.val(&op.operands[0]);
+                p.out.push_str(", ");
+                p.val(&op.operands[1]);
+                p.out.push('[');
+                p.vals(&op.operands[2..]);
+                let _ = write!(p.out, "] : {}", op.operands[1].ty);
+            }),
+            "memref.alloca" | "memref.alloc" => self.line(indent, |p| {
+                p.bind_results(op);
+                let _ = write!(p.out, "{}() : {}", op.name, op.result_types[0]);
+            }),
+            "memref.dealloc" => self.line(indent, |p| {
+                p.out.push_str("memref.dealloc ");
+                p.val(&op.operands[0]);
+                let _ = write!(p.out, " : {}", op.operands[0].ty);
+            }),
+            "func.call" => self.line(indent, |p| {
+                p.bind_results(op);
                 let callee = op.attrs.get("callee").and_then(Attr::as_str).unwrap_or("?");
-                let args: Vec<String> = op.operands.iter().map(|v| self.val(v)).collect();
-                let tys: Vec<String> = op.operands.iter().map(|v| v.ty.to_string()).collect();
-                let rets: Vec<String> = op.result_types.iter().map(|t| t.to_string()).collect();
-                let _ = writeln!(
-                    self.out,
-                    "{pad}{lhs}func.call @{callee}({}) : ({}) -> ({})",
-                    args.join(", "),
-                    tys.join(", "),
-                    rets.join(", ")
-                );
-            }
+                let _ = write!(p.out, "func.call @{callee}(");
+                p.vals(&op.operands);
+                p.out.push_str(") : (");
+                p.types(op.operands.iter().map(|v| &v.ty));
+                p.out.push_str(") -> (");
+                p.types(op.result_types.iter());
+                p.out.push(')');
+            }),
             name if name.starts_with("arith.") || name.starts_with("math.") => {
-                let lhs = self.bind_results(op);
-                let args: Vec<String> = op.operands.iter().map(|v| self.val(v)).collect();
-                let extra = op
-                    .attrs
-                    .get("predicate")
-                    .and_then(Attr::as_str)
-                    .map(|p| format!("{p}, "))
-                    .unwrap_or_default();
-                let ty = op
-                    .operands
-                    .first()
-                    .map(|v| v.ty.to_string())
-                    .or_else(|| op.result_types.first().map(|t| t.to_string()))
-                    .unwrap_or_default();
-                let _ = writeln!(
-                    self.out,
-                    "{pad}{lhs}{name} {extra}{} : {ty}",
-                    args.join(", ")
-                );
+                self.line(indent, |p| {
+                    p.bind_results(op);
+                    p.out.push_str(name);
+                    p.out.push(' ');
+                    if let Some(pred) = op.attrs.get("predicate").and_then(Attr::as_str) {
+                        let _ = write!(p.out, "{pred}, ");
+                    }
+                    p.vals(&op.operands);
+                    p.out.push_str(" : ");
+                    if let Some(ty) = op
+                        .operands
+                        .first()
+                        .map(|v| &v.ty)
+                        .or_else(|| op.result_types.first())
+                    {
+                        let _ = write!(p.out, "{ty}");
+                    }
+                })
             }
             _ => self.print_generic(op, indent),
         }
     }
 
     fn print_func(&mut self, op: &Op, indent: usize) {
-        let pad = "  ".repeat(indent);
+        self.pad(indent);
         let name = op
             .attrs
             .get("sym_name")
             .and_then(Attr::as_str)
             .unwrap_or("?");
+        let _ = write!(self.out, "func.func @{name}(");
         let entry = op.regions[0].entry();
-        let mut params = Vec::new();
         for (i, ty) in entry.arg_types.iter().enumerate() {
-            let n = self.bind(
-                &MValueKind::BlockArg {
-                    block: entry.uid,
-                    idx: i as u32,
-                },
-                &format!("arg{i}"),
-            );
-            params.push(format!("%{n}: {ty}"));
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let n = self.bind_arg(entry.uid, i as u32, Base::Param(i as u32));
+            let _ = write!(self.out, "{n}: {ty}");
         }
-        let extra_attrs: Vec<String> = op
-            .attrs
-            .iter()
-            .filter(|(k, _)| k.as_str() != "sym_name" && k.as_str() != "ret_type")
-            .map(|(k, v)| match v {
-                Attr::Unit => k.clone(),
-                _ => format!("{k} = {v}"),
-            })
-            .collect();
-        let attr_str = if extra_attrs.is_empty() {
-            String::new()
-        } else {
-            format!(" attributes {{{}}}", extra_attrs.join(", "))
-        };
-        let _ = writeln!(
-            self.out,
-            "{pad}func.func @{name}({}){attr_str} {{",
-            params.join(", ")
-        );
+        self.out.push(')');
+        self.attr_dict(op, " attributes {", |k| k != "sym_name" && k != "ret_type");
+        self.out.push_str(" {\n");
         for inner in &op.regions[0].entry().ops {
             self.print_op(inner, indent + 1);
         }
-        let _ = writeln!(self.out, "{pad}}}");
+        self.pad(indent);
+        self.out.push_str("}\n");
     }
 
     fn print_for(&mut self, op: &Op, indent: usize) {
-        let pad = "  ".repeat(indent);
+        self.pad(indent);
         let entry = op.regions[0].entry();
         let base = IV_NAMES.get(self.depth).copied().unwrap_or("iv");
-        let iv = self.bind(
-            &MValueKind::BlockArg {
-                block: entry.uid,
-                idx: 0,
-            },
-            base,
-        );
-        let bounds = if op.name == "affine.for" {
+        let iv = self.bind_arg(entry.uid, 0, Base::Iv(base));
+        let _ = write!(self.out, "{} {iv} = ", op.name);
+        if op.name == "affine.for" {
             let lb = op.int_attr("lower_bound").unwrap_or(0);
             let ub = op.int_attr("upper_bound").unwrap_or(0);
             let step = op.int_attr("step").unwrap_or(1);
-            if step == 1 {
-                format!("{lb} to {ub}")
-            } else {
-                format!("{lb} to {ub} step {step}")
+            let _ = write!(self.out, "{lb} to {ub}");
+            if step != 1 {
+                let _ = write!(self.out, " step {step}");
             }
         } else {
-            let lb = self.val(&op.operands[0]);
-            let ub = self.val(&op.operands[1]);
-            let st = self.val(&op.operands[2]);
-            format!("{lb} to {ub} step {st}")
-        };
-        let _ = writeln!(self.out, "{pad}{} %{iv} = {bounds} {{", op.name);
+            self.val(&op.operands[0]);
+            self.out.push_str(" to ");
+            self.val(&op.operands[1]);
+            self.out.push_str(" step ");
+            self.val(&op.operands[2]);
+        }
+        self.out.push_str(" {\n");
         self.depth += 1;
         for inner in &op.regions[0].entry().ops {
             self.print_op(inner, indent + 1);
         }
         self.depth -= 1;
-        let attrs: Vec<String> = op
-            .attrs
-            .iter()
-            .filter(|(k, _)| !matches!(k.as_str(), "lower_bound" | "upper_bound" | "step"))
-            .map(|(k, v)| match v {
-                Attr::Unit => k.clone(),
-                _ => format!("{k} = {v}"),
-            })
-            .collect();
-        if attrs.is_empty() {
-            let _ = writeln!(self.out, "{pad}}}");
-        } else {
-            let _ = writeln!(self.out, "{pad}}} {{{}}}", attrs.join(", "));
-        }
+        self.pad(indent);
+        self.out.push('}');
+        self.attr_dict(op, " {", |k| {
+            !matches!(k, "lower_bound" | "upper_bound" | "step")
+        });
+        self.out.push('\n');
     }
 
     fn print_if(&mut self, op: &Op, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let c = self.val(&op.operands[0]);
-        let _ = writeln!(self.out, "{pad}scf.if {c} {{");
+        self.pad(indent);
+        self.out.push_str("scf.if ");
+        self.val(&op.operands[0]);
+        self.out.push_str(" {\n");
         for inner in &op.regions[0].entry().ops {
             self.print_op(inner, indent + 1);
         }
@@ -355,54 +398,50 @@ impl Printer {
             .map(|r| !r.entry().ops.is_empty())
             .unwrap_or(false);
         if has_else {
-            let _ = writeln!(self.out, "{pad}}} else {{");
+            self.pad(indent);
+            self.out.push_str("} else {\n");
             for inner in &op.regions[1].entry().ops {
                 self.print_op(inner, indent + 1);
             }
         }
-        let _ = writeln!(self.out, "{pad}}}");
+        self.pad(indent);
+        self.out.push_str("}\n");
     }
 
     fn print_generic(&mut self, op: &Op, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let lhs = self.bind_results(op);
-        let args: Vec<String> = op.operands.iter().map(|v| self.val(v)).collect();
-        let succ: Vec<String> = op
-            .successors
-            .iter()
-            .map(|(uid, args)| {
-                let a: Vec<String> = args.iter().map(|v| self.val(v)).collect();
-                if a.is_empty() {
-                    format!("^bb{uid}")
-                } else {
-                    format!("^bb{uid}({})", a.join(", "))
-                }
-            })
-            .collect();
-        let succ_str = if succ.is_empty() {
-            String::new()
-        } else {
-            format!("[{}]", succ.join(", "))
-        };
-        let attr_str = if op.attrs.is_empty() {
-            String::new()
-        } else {
-            let items: Vec<String> = op.attrs.iter().map(|(k, v)| format!("{k} = {v}")).collect();
-            format!(" {{{}}}", items.join(", "))
-        };
-        let in_tys: Vec<String> = op.operands.iter().map(|v| v.ty.to_string()).collect();
-        let out_tys: Vec<String> = op.result_types.iter().map(|t| t.to_string()).collect();
-        let _ = writeln!(
-            self.out,
-            "{pad}{lhs}\"{}\"({}){succ_str}{attr_str} : ({}) -> ({})",
-            op.name,
-            args.join(", "),
-            in_tys.join(", "),
-            out_tys.join(", ")
-        );
+        self.pad(indent);
+        self.bind_results(op);
+        let _ = write!(self.out, "\"{}\"(", op.name);
+        self.vals(&op.operands);
+        self.out.push(')');
+        for (i, (uid, args)) in op.successors.iter().enumerate() {
+            self.out.push_str(if i == 0 { "[" } else { ", " });
+            let _ = write!(self.out, "^bb{uid}");
+            if !args.is_empty() {
+                self.out.push('(');
+                self.vals(args);
+                self.out.push(')');
+            }
+        }
+        if !op.successors.is_empty() {
+            self.out.push(']');
+        }
+        for (i, (k, v)) in op.attrs.iter().enumerate() {
+            self.out.push_str(if i == 0 { " {" } else { ", " });
+            let _ = write!(self.out, "{k} = {v}");
+        }
+        if !op.attrs.is_empty() {
+            self.out.push('}');
+        }
+        self.out.push_str(" : (");
+        self.types(op.operands.iter().map(|v| &v.ty));
+        self.out.push_str(") -> (");
+        self.types(op.result_types.iter());
+        self.out.push_str(")\n");
         for r in &op.regions {
             for b in &r.blocks {
-                let _ = writeln!(self.out, "{pad}^bb{}:", b.uid);
+                self.pad(indent);
+                let _ = writeln!(self.out, "^bb{}:", b.uid);
                 for inner in &b.ops {
                     self.print_op(inner, indent + 1);
                 }
@@ -411,46 +450,77 @@ impl Printer {
     }
 }
 
-/// Render map results with dims substituted by operand names:
-/// `(d0 + 1, 2*d1)` over `["%i", "%j"]` -> `%i + 1, 2 * %j`.
-fn subscripts(map: &Option<AffineMap>, dims: &[String]) -> String {
+/// Write map results with dims substituted by operand names:
+/// `(d0 + 1, 2*d1)` over `[%i, %j]` -> `%i + 1, 2 * %j`. Without a map,
+/// the dims themselves.
+fn write_exprs(out: &mut String, map: Option<&AffineMap>, dims: &[impl fmt::Display]) {
     let Some(map) = map else {
-        return dims.join(", ");
+        for (i, d) in dims.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "{d}");
+        }
+        return;
     };
-    map.results
-        .iter()
-        .map(|e| expr_with_names(e, dims))
-        .collect::<Vec<_>>()
-        .join(", ")
+    for (i, e) in map.results.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_expr(out, e, dims);
+    }
 }
 
-fn expr_with_names(e: &AffineExpr, dims: &[String]) -> String {
-    match e {
-        AffineExpr::Dim(i) => dims
-            .get(*i as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("d{i}")),
-        AffineExpr::Sym(i) => format!("s{i}"),
-        AffineExpr::Const(v) => v.to_string(),
+fn write_expr(out: &mut String, e: &AffineExpr, dims: &[impl fmt::Display]) {
+    let _ = match e {
+        AffineExpr::Dim(i) => match dims.get(*i as usize) {
+            Some(d) => write!(out, "{d}"),
+            None => write!(out, "d{i}"),
+        },
+        AffineExpr::Sym(i) => write!(out, "s{i}"),
+        AffineExpr::Const(v) => write!(out, "{v}"),
         AffineExpr::Add(a, b) => match &**b {
             AffineExpr::Const(c) if *c < 0 => {
-                format!("{} - {}", expr_with_names(a, dims), -c)
+                write_expr(out, a, dims);
+                write!(out, " - {}", -c)
             }
-            _ => format!(
-                "{} + {}",
-                expr_with_names(a, dims),
-                expr_with_names(b, dims)
-            ),
+            _ => {
+                write_expr(out, a, dims);
+                out.push_str(" + ");
+                write_expr(out, b, dims);
+                Ok(())
+            }
         },
-        AffineExpr::Mul(a, b) => format!(
-            "{} * {}",
-            expr_with_names(b, dims),
-            expr_with_names(a, dims)
-        ),
-        AffineExpr::Mod(a, m) => format!("({}) mod {m}", expr_with_names(a, dims)),
-        AffineExpr::FloorDiv(a, d) => format!("({}) floordiv {d}", expr_with_names(a, dims)),
-        AffineExpr::CeilDiv(a, d) => format!("({}) ceildiv {d}", expr_with_names(a, dims)),
-    }
+        AffineExpr::Mul(a, b) => {
+            write_expr(out, b, dims);
+            out.push_str(" * ");
+            write_expr(out, a, dims);
+            Ok(())
+        }
+        AffineExpr::Mod(a, m) => {
+            out.push('(');
+            write_expr(out, a, dims);
+            write!(out, ") mod {m}")
+        }
+        AffineExpr::FloorDiv(a, d) => {
+            out.push('(');
+            write_expr(out, a, dims);
+            write!(out, ") floordiv {d}")
+        }
+        AffineExpr::CeilDiv(a, d) => {
+            out.push('(');
+            write_expr(out, a, dims);
+            write!(out, ") ceildiv {d}")
+        }
+    };
+}
+
+/// The subscript text alone, as the unit tests read it.
+#[cfg(test)]
+fn subscripts(map: &Option<AffineMap>, dims: &[String]) -> String {
+    let mut out = String::new();
+    write_exprs(&mut out, map.as_ref(), dims);
+    out
 }
 
 #[cfg(test)]

@@ -61,6 +61,9 @@ fn verify_func(f: &Op) -> PassResult<()> {
     if f.regions.len() != 1 {
         return Err(diag("func.func must have exactly 1 region"));
     }
+    for ty in &f.regions[0].entry().arg_types {
+        check_extents(ty).map_err(diag)?;
+    }
     let mut scope = Scope {
         visible_ops: HashSet::new(),
         visible_blocks: HashSet::new(),
@@ -105,6 +108,16 @@ fn check_operand(op: &Op, v: &MValue, scope: &Scope) -> PassResult<()> {
     }
 }
 
+/// A memref with a zero extent has no element to address: both flows
+/// would divide by that extent or refuse the array, so it stops here.
+/// Dynamic extents (`?`, stored as -1) stay legal.
+fn check_extents(ty: &MType) -> std::result::Result<(), String> {
+    match ty.memref_shape() {
+        Some(shape) if shape.contains(&0) => Err(format!("{ty} has a zero extent")),
+        _ => Ok(()),
+    }
+}
+
 fn expect(cond: bool, op: &Op, msg: &str) -> PassResult<()> {
     if cond {
         Ok(())
@@ -116,6 +129,9 @@ fn expect(cond: bool, op: &Op, msg: &str) -> PassResult<()> {
 fn verify_op(op: &Op, scope: &mut Scope) -> PassResult<()> {
     for v in &op.operands {
         check_operand(op, v, scope)?;
+    }
+    for ty in &op.result_types {
+        check_extents(ty).map_err(|m| diag(m).with_loc(Loc::default().at_inst(&op.name)))?;
     }
     match op.name.as_str() {
         "affine.for" => {
@@ -393,6 +409,25 @@ func.func @f(%A: memref<4x4xf32>) {
             .unwrap_err()
             .to_string()
             .contains("affine.yield"));
+    }
+
+    #[test]
+    fn rejects_zero_extents_with_location() {
+        let src = "func.func @f(%A: memref<4x0xf32>) {\n  func.return\n}\n";
+        let m = parse_module("m", src).unwrap();
+        assert_eq!(
+            verify_module(&m).unwrap_err().to_string(),
+            "error[verifier] @f: memref<4x0xf32> has a zero extent"
+        );
+        let src = "func.func @g() {\n  %b = memref.alloca() : memref<0xf32>\n  func.return\n}\n";
+        let m = parse_module("m", src).unwrap();
+        assert_eq!(
+            verify_module(&m).unwrap_err().to_string(),
+            "error[verifier] @g:memref.alloca: memref<0xf32> has a zero extent"
+        );
+        // A dynamic extent is not a zero one.
+        let src = "func.func @h(%A: memref<?x4xf32>) {\n  func.return\n}\n";
+        verify_module(&parse_module("m", src).unwrap()).unwrap();
     }
 
     #[test]

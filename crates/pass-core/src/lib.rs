@@ -8,8 +8,8 @@
 //! * [`Pass<IR>`] — a named module-level transformation over any IR that
 //!   implements [`PassIr`];
 //! * [`PassManager<IR>`] — ordered pipelines with per-pass wall-clock
-//!   timing, changed/IR-size-delta stats, optional verify-after-each, and
-//!   fixed-point iteration;
+//!   timing, changed/IR-size-delta stats, verification after each pass that
+//!   changed the IR, and fixed-point iteration;
 //! * [`PassRegistry<IR>`] — string-keyed pass resolution with
 //!   list-valid-names-on-error diagnostics;
 //! * [`PipelineReport`] — a serializable `-time-passes`-style execution
@@ -100,10 +100,19 @@ pub trait Pass<IR: PassIr> {
 }
 
 /// An ordered, instrumented pipeline of passes.
+///
+/// The IR is verified after each pass that reports a change, so a pass that
+/// breaks the IR is caught at that pass. Two contracts make that enough:
+///
+/// * **Input:** the IR handed to a pipeline already verifies. Every caller
+///   does so: lowering verifies its translation, the C++ frontend verifies
+///   its output, `mha-opt` checks its input, and the adaptor runs on
+///   lowering's cleanup output.
+/// * **No change:** a pass that returns `Ok(false)` leaves the IR exactly as
+///   it found it (`tests/verifier_differential.rs` checks this for every
+///   pass both flows run and for the MLIR registry's passes).
 pub struct PassManager<IR: PassIr> {
     passes: Vec<Box<dyn Pass<IR>>>,
-    /// Verify the IR after each pass (on by default).
-    pub verify_each: bool,
     label: String,
 }
 
@@ -114,7 +123,7 @@ impl<IR: PassIr> Default for PassManager<IR> {
 }
 
 impl<IR: PassIr> PassManager<IR> {
-    /// Empty pipeline with per-pass verification enabled.
+    /// Empty pipeline labelled `pipeline`.
     pub fn new() -> PassManager<IR> {
         PassManager::with_label("pipeline")
     }
@@ -123,7 +132,6 @@ impl<IR: PassIr> PassManager<IR> {
     pub fn with_label(label: impl Into<String>) -> PassManager<IR> {
         PassManager {
             passes: Vec::new(),
-            verify_each: true,
             label: label.into(),
         }
     }
@@ -156,7 +164,7 @@ impl<IR: PassIr> PassManager<IR> {
     }
 
     /// Run every pass once, invoking `observer` with the IR and the pass's
-    /// record after each pass completes (and verifies, when enabled). This
+    /// record after each pass completes (and verifies, if it changed). This
     /// is how callers sample pass-dependent metrics — e.g. the adaptor
     /// counts remaining HLS compat issues between passes — without a second
     /// pass-manager implementation.
@@ -204,7 +212,7 @@ impl<IR: PassIr> PassManager<IR> {
             let size_before = ir.ir_size();
             let start = std::time::Instant::now();
             let changed = pass.run(ir).map_err(|d| d.in_pass(pass.name()))?;
-            if self.verify_each {
+            if changed {
                 ir.verify_ir().map_err(|d| {
                     Diagnostic {
                         message: format!("IR broken after pass '{}': {}", pass.name(), d.message),
@@ -269,11 +277,13 @@ impl<IR: PassIr> PassManager<IR> {
 pub(crate) mod tests_support {
     use super::*;
 
-    /// An "IR" that is just a counter, with a verifier tripwire.
+    /// An "IR" that is just a counter, with a verifier tripwire and a tally
+    /// of verifier runs.
     #[derive(Default)]
     pub struct CountIr {
         pub count: usize,
         pub poison: bool,
+        pub verified: std::cell::Cell<usize>,
     }
 
     impl PassIr for CountIr {
@@ -282,6 +292,7 @@ pub(crate) mod tests_support {
         }
 
         fn verify_ir(&self) -> PassResult<()> {
+            self.verified.set(self.verified.get() + 1);
             if self.poison {
                 Err(Diagnostic::error("verifier", "poisoned counter")
                     .with_loc(Loc::function("f").in_block("entry").at_inst("%0")))
@@ -401,11 +412,19 @@ mod tests {
             err.to_string(),
             "error[poison] @f:entry:%0: IR broken after pass 'poison': poisoned counter"
         );
-        // With verification off, the pipeline completes.
+    }
+
+    #[test]
+    fn only_passes_that_changed_the_ir_are_verified() {
         let mut pm = PassManager::new();
-        pm.add(Poison);
-        pm.verify_each = false;
-        assert!(pm.run(&mut CountIr::default()).is_ok());
+        pm.add(Grow { by: 1, until: 2 }).add(Nop);
+        let mut ir = CountIr::default();
+        let report = pm.run_to_fixpoint(&mut ir, 100).unwrap();
+        // Sweeps 1 and 2 grow, sweep 3 is quiescent: six records, two
+        // changes, two verifications.
+        assert_eq!(report.passes.len(), 6);
+        assert_eq!(report.passes.iter().filter(|p| p.changed).count(), 2);
+        assert_eq!(ir.verified.get(), 2);
     }
 
     #[test]

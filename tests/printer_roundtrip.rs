@@ -13,6 +13,9 @@
 //! default directives is also pinned by FNV-1a digest, so any change to
 //! what mem2reg, DCE or the printer emit fails here.
 
+#[path = "support/figure_sets.rs"]
+mod figure_sets;
+
 use driver::{run_flow, Directives, Flow};
 use fuzzing::{GenConfig, TOP_NAME};
 use llvm_lite::parser::parse_module;
@@ -34,29 +37,9 @@ fn assert_round_trips(label: &str, name: &str, m: &llvm_lite::Module) {
     );
 }
 
-/// The directive sets of Figures 1 and 4: PIPELINE II=1 with unroll
-/// 1/2/4/8, and unroll 1/2/4 × cyclic partition 1/2/4.
-fn figure_directive_sets() -> Vec<Directives> {
-    let set = |u: u32, p: u32| Directives {
-        pipeline_ii: Some(1),
-        unroll_factor: (u > 1).then_some(u),
-        partition_factor: (p > 1).then_some(p),
-        flatten: false,
-    };
-    let mut sets: Vec<Directives> = [1, 2, 4, 8].iter().map(|&u| set(u, 1)).collect();
-    for u in [1, 2, 4] {
-        for p in [1, 2, 4] {
-            if !sets.contains(&set(u, p)) {
-                sets.push(set(u, p));
-            }
-        }
-    }
-    sets
-}
-
 #[test]
 fn suite_modules_round_trip_under_the_figure_directive_sets() {
-    let sets = figure_directive_sets();
+    let sets = figure_sets::figure_directive_sets();
     assert_eq!(sets.len(), 10);
     for k in kernels::all_kernels() {
         for d in &sets {

@@ -1011,3 +1011,33 @@ fn every_response_is_counted_exactly_once() {
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// MLIR that used to panic the compile, an `affine.for` with step 0 and a
+/// memref with a zero extent, is a located 422, and so is every resend: a
+/// 500 is never cached, so each resend would have panicked again.
+#[test]
+fn bad_mlir_is_a_422_not_a_panic() {
+    let dir = temp_dir("bad-mlir");
+    let server = Server::start(config(&dir)).expect("server starts");
+    let addr = server.addr();
+
+    let step0 = "func.func @k(%A: memref<4xf32>) attributes {hls.top} {\n  affine.for %i = 0 to 4 step 0 {\n    %c = arith.constant 1.0 : f32\n    affine.store %c, %A[%i] : memref<4xf32>\n  }\n  func.return\n}\n";
+    let zero_extent = "func.func @k(%A: memref<4x0xf32>) attributes {hls.top} {\n  affine.for %i = 0 to 4 {\n    %c = arith.constant 1.0 : f32\n    affine.store %c, %A[%i, 0] : memref<4x0xf32>\n  }\n  func.return\n}\n";
+    for (mlir, want) in [
+        (
+            step0,
+            "parse error at line 2: affine.for step must be positive, got 0",
+        ),
+        (zero_extent, "@k: memref<4x0xf32> has a zero extent"),
+    ] {
+        let body = format!("{{\"mlir\":{},\"name\":\"bad\"}}", json_str(mlir));
+        for _ in 0..2 {
+            let (code, _, resp) = compile(addr, &body);
+            assert_eq!(code, 422, "body: {resp}");
+            assert!(resp.contains(want), "want '{want}' in {resp}");
+        }
+    }
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}

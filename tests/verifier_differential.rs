@@ -19,19 +19,24 @@
 //! removed instruction does, in both). Every edit kind must also reach its
 //! aimed check at least once, so no kind silently stops testing anything.
 //!
-//! Tier-1 covers the suite and fuzz seeds 0..48. The `#[ignore]`d test
-//! covers seeds 0..5000 plus the suite; run it in release mode:
+//! The same walk holds every pass to the pass manager's no-change
+//! contract, which lets it verify only after a pass that changed the IR: a
+//! pass that reports no change must leave the module `==` to its input.
+//! The MLIR registry's passes are held to it on the suite, by printed text.
+//!
+//! Tier-1 covers the suite under the Figure 1/4 directive sets and fuzz
+//! seeds 0..48. The `#[ignore]`d test covers seeds 0..5000 plus the suite;
+//! run it in release mode:
 //! `cargo test --release -p driver --test verifier_differential -- --ignored`.
 
+#[path = "support/figure_sets.rs"]
+mod figure_sets;
+#[path = "support/quiet.rs"]
+mod quiet;
 #[allow(dead_code)]
 #[path = "support/reference_verifier.rs"]
 mod reference_verifier;
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
-
-use driver::Directives;
 use fuzzing::rng::Rng;
 use fuzzing::{GenConfig, TOP_NAME};
 use llvm_lite::transforms::{Dce, FoldConstants, Mem2Reg, ModulePass, SimplifyCfg};
@@ -39,38 +44,11 @@ use llvm_lite::{BlockId, Function, Inst, InstData, InstId, LoopMetadata, Module,
 use llvm_lite::{Type, Value};
 use mlir_lite::MlirModule;
 
-thread_local! {
-    static QUIET: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Silence the panic hook while a verifier runs under `catch_unwind`, so
-/// expected panics on malformed IR do not flood the test output. Real test
-/// failures still print.
-fn install_quiet_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !QUIET.with(Cell::get) {
-                default(info);
-            }
-        }));
-    });
-}
-
 /// A verifier's verdict: the rendered diagnostic, or the panic message.
 type Verdict = Result<Result<(), String>, String>;
 
 fn run_quiet(f: impl FnOnce() -> pass_core::PassResult<()>) -> Verdict {
-    QUIET.with(|q| q.set(true));
-    let r = catch_unwind(AssertUnwindSafe(|| f().map_err(|d| d.to_string())));
-    QUIET.with(|q| q.set(false));
-    r.map_err(|p| {
-        p.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "<non-string panic>".into())
-    })
+    quiet::catch_quiet(|| f().map_err(|d| d.to_string()))
 }
 
 /// Both verifiers on one module; fails on any difference.
@@ -81,18 +59,42 @@ fn compare(label: &str, m: &Module) -> Verdict {
     new
 }
 
+/// Run one pass, snapshot the module after it, and return whether the
+/// pass reported a change. A pass that reports none must leave the module
+/// `==` to the snapshot before it.
+fn step(
+    out: &mut Vec<(String, Module)>,
+    stage: String,
+    m: &mut Module,
+    pass: &dyn ModulePass<Module>,
+    tally: &mut Tally,
+) -> bool {
+    let changed = pass.run(m).unwrap_or_else(|d| panic!("{stage}: {d}"));
+    if changed {
+        tally.changed += 1;
+    } else {
+        let before = &out.last().expect("a snapshot precedes every pass").1;
+        assert!(
+            m == before,
+            "{stage} reported no change but changed the module"
+        );
+        tally.unchanged += 1;
+    }
+    out.push((stage, m.clone()));
+    changed
+}
+
 /// The module after every pass of each pipeline an op runs: lowering's
 /// translation and cleanup fixpoint, each adaptor pass, and the C++
 /// front end and its cleanup fixpoint.
-fn snapshots(mlir: &MlirModule, name: &str) -> Vec<(String, Module)> {
-    fn cleanup(m: &mut Module, stage: &str, out: &mut Vec<(String, Module)>) {
+fn snapshots(mlir: &MlirModule, name: &str, tally: &mut Tally) -> Vec<(String, Module)> {
+    fn cleanup(m: &mut Module, stage: &str, out: &mut Vec<(String, Module)>, tally: &mut Tally) {
         let passes: [&dyn ModulePass<Module>; 4] = [&Mem2Reg, &FoldConstants, &SimplifyCfg, &Dce];
         // Mirrors `standard_cleanup().run_to_fixpoint(m, 4)`.
         for iter in 0..4 {
             let mut changed = false;
             for p in passes {
-                changed |= p.run(m).expect("cleanup pass");
-                out.push((format!("{stage}/{iter}/{}", p.name()), m.clone()));
+                changed |= step(out, format!("{stage}/{iter}/{}", p.name()), m, p, tally);
             }
             if !changed {
                 break;
@@ -103,21 +105,45 @@ fn snapshots(mlir: &MlirModule, name: &str) -> Vec<(String, Module)> {
     let opts = lowering::LowerOptions { cleanup: false };
     let mut m = lowering::lower_module(mlir.deep_clone(), &opts).expect("lower");
     out.push(("translate".to_string(), m.clone()));
-    cleanup(&mut m, "lower-cleanup", &mut out);
+    cleanup(&mut m, "lower-cleanup", &mut out, tally);
     let registry = adaptor::pipeline::registry();
     for pass in adaptor::pipeline::PASS_NAMES {
-        registry
-            .create(pass)
-            .unwrap()
-            .run(&mut m)
-            .expect("adaptor pass");
-        out.push((format!("adaptor/{pass}"), m.clone()));
+        let p = registry.create(pass).unwrap();
+        step(
+            &mut out,
+            format!("adaptor/{pass}"),
+            &mut m,
+            p.as_ref(),
+            tally,
+        );
     }
     let cpp = hls_cpp::emit_cpp(mlir).expect("emit-cpp");
     let mut c = hls_cpp::compile_cpp(name, &cpp).expect("frontend");
     out.push(("frontend".to_string(), c.clone()));
-    cleanup(&mut c, "cpp-cleanup", &mut out);
+    cleanup(&mut c, "cpp-cleanup", &mut out, tally);
     out
+}
+
+/// Each MLIR registry pass, run alone on `mlir`, either refuses (an
+/// illegal interchange) or keeps the no-change contract: reporting no
+/// change, it leaves the printed module as it was.
+fn mlir_passes_keep_the_contract(label: &str, mlir: &MlirModule, tally: &mut Tally) {
+    let registry = mlir_lite::passes::registry();
+    let before = mlir_lite::printer::print_module(mlir);
+    for pass in registry.names() {
+        let mut m = mlir.deep_clone();
+        match registry.create(pass).unwrap().run(&mut m) {
+            Ok(true) => tally.changed += 1,
+            Ok(false) => {
+                assert!(
+                    mlir_lite::printer::print_module(&m) == before,
+                    "{label}: {pass} reported no change but changed the module"
+                );
+                tally.unchanged += 1;
+            }
+            Err(_) => {}
+        }
+    }
 }
 
 /// One kind of single edit, each aimed at one verifier check.
@@ -404,11 +430,14 @@ fn mutate(m: &Module, edit: Edit, rng: &mut Rng) -> Option<Module> {
     Some(m)
 }
 
-/// How often each edit kind was applied and how often it reached its aim.
+/// How often each edit kind was applied and how often it reached its aim,
+/// and how many pass runs reported a change and how many did not.
 #[derive(Default)]
 struct Tally {
     applied: [u32; EDITS.len()],
     aimed: [u32; EDITS.len()],
+    changed: u32,
+    unchanged: u32,
 }
 
 /// Compare both verifiers on a module's snapshots and on mutations of
@@ -423,7 +452,7 @@ fn check_case(
     tally: &mut Tally,
 ) {
     let mut rng = Rng::new(seed);
-    for (si, (stage, m)) in snapshots(mlir, name).iter().enumerate() {
+    for (si, (stage, m)) in snapshots(mlir, name, tally).iter().enumerate() {
         let label = format!("{label} after {stage}");
         assert_eq!(compare(&label, m), Ok(Ok(())), "{label}: clean module");
         for k in 0..edits_per_snapshot {
@@ -448,8 +477,19 @@ fn check_case(
 
 fn suite(tally: &mut Tally) {
     for (ki, k) in kernels::all_kernels().iter().enumerate() {
-        let mlir = driver::flow::prepare_mlir(k, &Directives::pipelined(1)).unwrap();
-        check_case(k.name, &mlir, k.name, ki as u64, EDITS.len(), tally);
+        for (di, d) in figure_sets::figure_directive_sets().iter().enumerate() {
+            let mlir = driver::flow::prepare_mlir(k, d).unwrap();
+            let label = format!("{} at {d:?}", k.name);
+            check_case(
+                &label,
+                &mlir,
+                k.name,
+                (ki * 100 + di) as u64,
+                EDITS.len(),
+                tally,
+            );
+            mlir_passes_keep_the_contract(&label, &mlir, tally);
+        }
     }
 }
 
@@ -465,6 +505,12 @@ fn fuzz(seeds: std::ops::Range<u64>, tally: &mut Tally) {
 }
 
 fn assert_every_edit_aimed(tally: &Tally) {
+    assert!(
+        tally.changed > 0 && tally.unchanged > 0,
+        "the no-change contract saw {} changed and {} unchanged pass runs",
+        tally.changed,
+        tally.unchanged
+    );
     for (i, edit) in EDITS.iter().enumerate() {
         assert!(tally.applied[i] > 0, "{edit:?} was never applied");
         assert!(
@@ -477,7 +523,6 @@ fn assert_every_edit_aimed(tally: &Tally) {
 
 #[test]
 fn suite_and_fuzz_prefix_agree_with_the_reference_verifier() {
-    install_quiet_hook();
     let mut tally = Tally::default();
     suite(&mut tally);
     fuzz(0..48, &mut tally);
@@ -487,7 +532,6 @@ fn suite_and_fuzz_prefix_agree_with_the_reference_verifier() {
 #[test]
 #[ignore = "5000 seeds; run in release mode"]
 fn fuzz_5000_seeds_and_suite_agree_with_the_reference_verifier() {
-    install_quiet_hook();
     let mut tally = Tally::default();
     suite(&mut tally);
     fuzz(0..5000, &mut tally);
