@@ -74,13 +74,13 @@ pub struct CompatIssue {
     pub detail: String,
 }
 
-impl CompatIssue {
-    /// Render as a located [`Diagnostic`], e.g.
-    /// `error[verify-compat] @f:call @malloc: dynamic allocation is not
-    /// synthesizable`.
-    pub fn to_diagnostic(&self) -> Diagnostic {
-        Diagnostic::error("verify-compat", self.kind.describe())
-            .with_loc(Loc::function(&self.function).at_inst(&self.detail))
+/// An issue renders as a located [`Diagnostic`], e.g.
+/// `error[verify-compat] @f:call @malloc: dynamic allocation is not
+/// synthesizable`.
+impl From<&CompatIssue> for Diagnostic {
+    fn from(issue: &CompatIssue) -> Diagnostic {
+        Diagnostic::error("verify-compat", issue.kind.describe())
+            .with_loc(Loc::function(&issue.function).at_inst(&issue.detail))
     }
 }
 
@@ -355,7 +355,7 @@ impl ModulePass<Module> for VerifyCompat {
         } else {
             let mut msg = format!("{} HLS compatibility issue(s):", issues.len());
             for i in issues.iter().take(8) {
-                msg.push_str(&format!("\n  {}", i.to_diagnostic()));
+                msg.push_str(&format!("\n  {}", Diagnostic::from(i)));
             }
             // The summary diagnostic points at the first offender; the full
             // list is in the message body.
@@ -631,7 +631,7 @@ entry:
             detail: "call @malloc".into(),
         };
         assert_eq!(
-            issue.to_diagnostic().to_string(),
+            Diagnostic::from(&issue).to_string(),
             "error[verify-compat] @f:call @malloc: dynamic allocation is not synthesizable"
         );
     }

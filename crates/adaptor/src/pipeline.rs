@@ -11,36 +11,42 @@ use crate::passes::{
 };
 use crate::Result;
 
-/// The adaptor's pass names, in pipeline order (the `without` ablation
-/// vocabulary).
-pub const PASS_NAMES: &[&str] = &[
-    "legalize-intrinsics",
-    "demote-malloc",
-    "recover-arrays",
-    "normalize-loop-metadata",
-    "synthesize-interface",
-    "legalize-names",
-    "scrub-attributes",
+/// Builds a fresh instance of one adaptor pass.
+type MakePass = fn() -> Box<dyn ModulePass<Module>>;
+
+/// The adaptor's passes with their constructors, in pipeline order: the
+/// one list the pipeline, the registry, [`PASS_NAMES`] and
+/// [`AdaptorConfig::without`] are read from.
+const PASSES: [(&str, MakePass); 7] = [
+    ("legalize-intrinsics", || Box::new(LegalizeIntrinsics)),
+    ("demote-malloc", || Box::new(DemoteMalloc)),
+    ("recover-arrays", || Box::new(RecoverArrays)),
+    ("normalize-loop-metadata", || {
+        Box::new(NormalizeLoopMetadata)
+    }),
+    ("synthesize-interface", || Box::new(SynthesizeInterface)),
+    ("legalize-names", || Box::new(LegalizeNames)),
+    ("scrub-attributes", || Box::new(ScrubAttributes)),
 ];
 
-/// Which passes run — every field defaults to `true`; the ablation bench
-/// flips them one at a time.
+/// The adaptor's pass names, in pipeline order (the `without` ablation
+/// vocabulary).
+pub const PASS_NAMES: &[&str] = &{
+    let mut names = [""; PASSES.len()];
+    let mut i = 0;
+    while i < PASSES.len() {
+        names[i] = PASSES[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// Which passes run — all of them by default; the ablation bench drops
+/// them one at a time with [`AdaptorConfig::without`].
 #[derive(Clone, Debug)]
 pub struct AdaptorConfig {
-    /// Expand/drop unsupported intrinsics.
-    pub legalize_intrinsics: bool,
-    /// Demote constant-size heap allocation.
-    pub demote_malloc: bool,
-    /// Recover array shapes and structured subscripts.
-    pub recover_arrays: bool,
-    /// Re-pin loop metadata and add trip counts.
-    pub normalize_metadata: bool,
-    /// Bind top-function ports.
-    pub synthesize_interface: bool,
-    /// Legalize RTL names.
-    pub legalize_names: bool,
-    /// Scrub foreign attributes.
-    pub scrub_attrs: bool,
+    /// Per entry of the pass table: does it run?
+    enabled: [bool; PASSES.len()],
     /// Fail if compat issues remain (turn off to *measure* remaining
     /// issues instead).
     pub gate: bool,
@@ -49,13 +55,7 @@ pub struct AdaptorConfig {
 impl Default for AdaptorConfig {
     fn default() -> AdaptorConfig {
         AdaptorConfig {
-            legalize_intrinsics: true,
-            demote_malloc: true,
-            recover_arrays: true,
-            normalize_metadata: true,
-            synthesize_interface: true,
-            legalize_names: true,
-            scrub_attrs: true,
+            enabled: [true; PASSES.len()],
             gate: true,
         }
     }
@@ -73,24 +73,16 @@ impl AdaptorConfig {
     /// Disable one pass by its name (for ablations). Unknown names produce
     /// a [`Diagnostic`] listing the valid names.
     pub fn without(mut self, pass: &str) -> std::result::Result<AdaptorConfig, Diagnostic> {
-        match pass {
-            "legalize-intrinsics" => self.legalize_intrinsics = false,
-            "demote-malloc" => self.demote_malloc = false,
-            "recover-arrays" => self.recover_arrays = false,
-            "normalize-loop-metadata" => self.normalize_metadata = false,
-            "synthesize-interface" => self.synthesize_interface = false,
-            "legalize-names" => self.legalize_names = false,
-            "scrub-attributes" => self.scrub_attrs = false,
-            other => {
-                return Err(Diagnostic::error(
-                    "adaptor",
-                    format!(
-                        "unknown adaptor pass '{other}'; valid passes: {}",
-                        PASS_NAMES.join(", ")
-                    ),
-                ))
-            }
-        }
+        let Some(i) = PASS_NAMES.iter().position(|name| *name == pass) else {
+            return Err(Diagnostic::error(
+                "adaptor",
+                format!(
+                    "unknown adaptor pass '{pass}'; valid passes: {}",
+                    PASS_NAMES.join(", ")
+                ),
+            ));
+        };
+        self.enabled[i] = false;
         Ok(self)
     }
 }
@@ -113,26 +105,8 @@ pub struct AdaptorReport {
 /// Build the configured pipeline (without the gate).
 fn build_pipeline(cfg: &AdaptorConfig) -> PassManager {
     let mut pm = PassManager::with_label("hls-adaptor");
-    if cfg.legalize_intrinsics {
-        pm.add(LegalizeIntrinsics);
-    }
-    if cfg.demote_malloc {
-        pm.add(DemoteMalloc);
-    }
-    if cfg.recover_arrays {
-        pm.add(RecoverArrays);
-    }
-    if cfg.normalize_metadata {
-        pm.add(NormalizeLoopMetadata);
-    }
-    if cfg.synthesize_interface {
-        pm.add(SynthesizeInterface);
-    }
-    if cfg.legalize_names {
-        pm.add(LegalizeNames);
-    }
-    if cfg.scrub_attrs {
-        pm.add(ScrubAttributes);
+    for ((_, make), _) in PASSES.iter().zip(cfg.enabled).filter(|(_, on)| *on) {
+        pm.add_boxed(make());
     }
     pm
 }
@@ -144,9 +118,8 @@ pub fn run_adaptor(m: &mut Module, cfg: &AdaptorConfig) -> Result<AdaptorReport>
 
 /// [`run_adaptor`] under a [`pass_core::Budget`]: each legalization pass
 /// (and the compat gate) charges one fuel unit and checks the deadline, so
-/// a budgeted caller gets a structured trip (the `budget` diagnostic,
-/// recoverable with `BudgetError::from_diagnostic`) instead of an
-/// unbounded pipeline run.
+/// a budgeted caller gets a typed trip ([`crate::Error::Budget`]) instead
+/// of an unbounded pipeline run.
 pub fn run_adaptor_budgeted(
     m: &mut Module,
     cfg: &AdaptorConfig,
@@ -161,23 +134,21 @@ pub fn run_adaptor_budgeted(
     // verification, timing, and change tracking. A pass that reported no
     // change left the module as it was, so the previous sample stands.
     let pm = build_pipeline(cfg);
-    let pipeline = pm
-        .run_observed_budgeted(
-            m,
-            &mut |ir, rec| {
-                let issues = if rec.changed {
-                    compat_issues(ir).len()
-                } else {
-                    report
-                        .issues_after_pass
-                        .last()
-                        .map_or(report.issues_before, |&(_, n)| n)
-                };
-                report.issues_after_pass.push((rec.pass.clone(), issues));
-            },
-            budget,
-        )
-        .map_err(llvm_lite::Error::from)?;
+    let pipeline = pm.run_observed_budgeted(
+        m,
+        &mut |ir, rec| {
+            let issues = if rec.changed {
+                compat_issues(ir).len()
+            } else {
+                report
+                    .issues_after_pass
+                    .last()
+                    .map_or(report.issues_before, |&(_, n)| n)
+            };
+            report.issues_after_pass.push((rec.pass.clone(), issues));
+        },
+        budget,
+    )?;
     report.changed_passes = pipeline
         .changed_passes()
         .into_iter()
@@ -192,7 +163,7 @@ pub fn run_adaptor_budgeted(
     if cfg.gate {
         let mut pm = PassManager::with_label("compat-gate");
         pm.add(VerifyCompat);
-        pm.run_budgeted(m, budget).map_err(llvm_lite::Error::from)?;
+        pm.run_budgeted(m, budget)?;
     }
     Ok(report)
 }
@@ -216,16 +187,10 @@ impl ModulePass<Module> for HlsAdaptor {
 /// `hls-adaptor` pipeline and the `verify-compat` gate), keyed by name.
 pub fn registry() -> PassRegistry<Module> {
     let mut r = PassRegistry::new();
-    r.register("legalize-intrinsics", || Box::new(LegalizeIntrinsics))
-        .register("demote-malloc", || Box::new(DemoteMalloc))
-        .register("recover-arrays", || Box::new(RecoverArrays))
-        .register("normalize-loop-metadata", || {
-            Box::new(NormalizeLoopMetadata)
-        })
-        .register("synthesize-interface", || Box::new(SynthesizeInterface))
-        .register("legalize-names", || Box::new(LegalizeNames))
-        .register("scrub-attributes", || Box::new(ScrubAttributes))
-        .register("verify-compat", || Box::new(VerifyCompat))
+    for (name, make) in PASSES {
+        r.register(name, make);
+    }
+    r.register("verify-compat", || Box::new(VerifyCompat))
         .register("hls-adaptor", || Box::new(HlsAdaptor));
     r
 }
@@ -402,8 +367,9 @@ func.func @gemm(%A: memref<4x4xf32>, %B: memref<4x4xf32>, %C: memref<4x4xf32>) a
         let mut m = lowered_gemm();
         let budget = pass_core::Budget::from_limits(None, Some(2));
         let err = run_adaptor_budgeted(&mut m, &AdaptorConfig::default(), &budget).unwrap_err();
-        let trip = pass_core::BudgetError::from_rendered(&err.to_string())
-            .expect("budget trip survives the llvm-lite error channel");
+        let crate::Error::Budget(trip) = err else {
+            panic!("a budget trip stays typed through the adaptor, got {err:?}");
+        };
         assert_eq!(trip.kind, pass_core::BudgetKind::Fuel);
         // Two fuel units ran exactly the first two passes before tripping.
         assert_eq!(trip.stage, PASS_NAMES[2]);

@@ -1,7 +1,7 @@
 //! **Figure 2** — flow conversion time: the adaptor pipeline vs the C++
 //! emission + re-frontend detour, per kernel (medians over repeated runs).
-//! The Criterion bench `flow_time` measures the same thing rigorously; this
-//! binary prints the series for the figure.
+//! The series is wall-clock, so it is not pinned; `mha-perfbench --trace 1`
+//! splits the same flows by layer.
 
 use driver::{run_flow, Directives, Flow};
 use hls_bench::render_table;

@@ -463,12 +463,12 @@ impl BatchSummary {
                     json_str(reason),
                     Self::artifact_json_fields(artifacts)
                 )),
+                // The StageError's own fields, a crash's rss_peak_kb
+                // included, follow the status tag.
                 RunOutcome::Failed(e) => out.push_str(&format!(
-                    "{{\"kernel\":{},\"status\":\"failed\",\"stage\":{},\"class\":{},\"error\":{}}}",
+                    "{{\"kernel\":{},\"status\":\"failed\",{}",
                     json_str(&r.kernel),
-                    json_str(e.stage()),
-                    json_str(&e.class_label()),
-                    json_str(e.detail())
+                    &e.to_json()[1..]
                 )),
                 RunOutcome::Panicked { message } => out.push_str(&format!(
                     "{{\"kernel\":{},\"status\":\"panicked\",\"error\":{}}}",
@@ -1323,6 +1323,43 @@ mod tests {
         }
         // And it parses as one JSON document.
         json::parse(&j).unwrap();
+    }
+
+    #[test]
+    fn crashed_kernel_summary_keeps_its_peak_rss() {
+        let failed = |e: StageError| KernelRun {
+            kernel: "gemm".into(),
+            outcome: RunOutcome::Failed(e),
+        };
+        let s = BatchSummary {
+            flow: "adaptor".into(),
+            jobs: 1,
+            cache_enabled: false,
+            wall_us: 0,
+            runs: vec![
+                failed(StageError::Crash {
+                    stage: "flow".into(),
+                    cause: "signal 9".into(),
+                    rss_peak_kb: Some(204_800),
+                }),
+                failed(StageError::Fault {
+                    stage: "flow".into(),
+                    class: FaultClass::Deterministic,
+                    detail: "rejected".into(),
+                }),
+            ],
+            warnings: Vec::new(),
+        };
+        let v = json::parse(&s.to_json()).unwrap();
+        let kernels = v.get("kernels").unwrap().as_arr().unwrap();
+        assert_eq!(kernels[0].get("class").unwrap().as_str(), Some("crash"));
+        assert_eq!(
+            kernels[0].get("rss_peak_kb").unwrap().as_u64(),
+            Some(204_800)
+        );
+        assert!(s.to_json().contains(
+            "{\"kernel\":\"gemm\",\"status\":\"failed\",\"stage\":\"flow\",\"class\":\"deterministic\",\"error\":\"rejected\"}"
+        ));
     }
 
     #[test]

@@ -36,36 +36,15 @@
 use std::path::PathBuf;
 
 use driver::batch::{run_batch, BatchOptions, RunOutcome};
+use driver::cli::Args;
 use driver::{ChaosConfig, Directives, Flow};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mha-batch [--jobs N] [--format text|json] [--flow adaptor|cpp]\n\
-         \x20                [--no-cache] [--cache-dir DIR] [--report-json DIR]\n\
-         \x20                [--ii N] [--unroll N] [--partition N] [--flatten]\n\
-         \x20                [--seed N] [--inject-panic KERNEL]\n\
-         \x20                [--deadline-ms N] [--fuel N] [--chaos SEED,RATE]\n\
-         \x20                [--resume] [--isolate] [<kernel>... | all]"
-    );
-    std::process::exit(2);
-}
-
-fn flag_value(args: &mut std::env::Args, flag: &str) -> String {
-    match args.next() {
-        Some(v) => v,
-        None => {
-            eprintln!("{flag} needs a value");
-            usage();
-        }
-    }
-}
-
-fn parse_u32(s: &str, flag: &str) -> u32 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs an integer, got '{s}'");
-        usage();
-    })
-}
+const USAGE: &str = "usage: mha-batch [--jobs N] [--format text|json] [--flow adaptor|cpp]\n\
+\x20                [--no-cache] [--cache-dir DIR] [--report-json DIR]\n\
+\x20                [--ii N] [--unroll N] [--partition N] [--flatten]\n\
+\x20                [--seed N] [--inject-panic KERNEL]\n\
+\x20                [--deadline-ms N] [--fuel N] [--chaos SEED,RATE]\n\
+\x20                [--resume] [--isolate] [<kernel>... | all]";
 
 fn main() {
     // Worker mode: the warden re-execs this binary with `--warden-child`
@@ -81,71 +60,32 @@ fn main() {
     let mut report_json_dir: Option<PathBuf> = None;
     let mut targets: Vec<String> = Vec::new();
 
-    let mut args = std::env::args();
-    args.next();
+    let mut args = Args::from_env(USAGE);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--jobs" => opts.jobs = parse_u32(&flag_value(&mut args, "--jobs"), "--jobs") as usize,
-            "--format" => match flag_value(&mut args, "--format").as_str() {
-                "text" => format_json = false,
-                "json" => format_json = true,
-                other => {
-                    eprintln!("--format needs 'text' or 'json', got '{other}'");
-                    usage();
-                }
-            },
-            "--flow" => match flag_value(&mut args, "--flow").as_str() {
-                "adaptor" => opts.flow = Flow::Adaptor,
-                "cpp" => opts.flow = Flow::Cpp,
-                other => {
-                    eprintln!("--flow needs 'adaptor' or 'cpp', got '{other}'");
-                    usage();
-                }
-            },
+            "--jobs" => opts.jobs = args.parse("--jobs"),
+            "--format" => format_json = args.choose("--format", &[("text", false), ("json", true)]),
+            "--flow" => {
+                opts.flow = args.choose("--flow", &[("adaptor", Flow::Adaptor), ("cpp", Flow::Cpp)])
+            }
             "--no-cache" => opts.cache_dir = None,
-            "--cache-dir" => {
-                opts.cache_dir = Some(PathBuf::from(flag_value(&mut args, "--cache-dir")))
-            }
-            "--report-json" => {
-                report_json_dir = Some(PathBuf::from(flag_value(&mut args, "--report-json")))
-            }
-            "--ii" => {
-                opts.directives.pipeline_ii =
-                    Some(parse_u32(&flag_value(&mut args, "--ii"), "--ii"))
-            }
-            "--unroll" => {
-                opts.directives.unroll_factor =
-                    Some(parse_u32(&flag_value(&mut args, "--unroll"), "--unroll"))
-            }
-            "--partition" => {
-                opts.directives.partition_factor = Some(parse_u32(
-                    &flag_value(&mut args, "--partition"),
-                    "--partition",
-                ))
-            }
+            "--cache-dir" => opts.cache_dir = Some(PathBuf::from(args.value("--cache-dir"))),
+            "--report-json" => report_json_dir = Some(PathBuf::from(args.value("--report-json"))),
+            "--ii" => opts.directives.pipeline_ii = Some(args.parse("--ii")),
+            "--unroll" => opts.directives.unroll_factor = Some(args.parse("--unroll")),
+            "--partition" => opts.directives.partition_factor = Some(args.parse("--partition")),
             "--flatten" => opts.directives.flatten = true,
-            "--seed" => opts.seed = parse_u32(&flag_value(&mut args, "--seed"), "--seed") as u64,
-            "--inject-panic" => opts.inject_panic = Some(flag_value(&mut args, "--inject-panic")),
-            "--deadline-ms" => {
-                opts.deadline_ms =
-                    Some(parse_u32(&flag_value(&mut args, "--deadline-ms"), "--deadline-ms") as u64)
-            }
-            "--fuel" => {
-                opts.fuel = Some(parse_u32(&flag_value(&mut args, "--fuel"), "--fuel") as u64)
-            }
-            "--chaos" => match ChaosConfig::parse(&flag_value(&mut args, "--chaos")) {
+            "--seed" => opts.seed = args.parse("--seed"),
+            "--inject-panic" => opts.inject_panic = Some(args.value("--inject-panic")),
+            "--deadline-ms" => opts.deadline_ms = Some(args.parse("--deadline-ms")),
+            "--fuel" => opts.fuel = Some(args.parse("--fuel")),
+            "--chaos" => match ChaosConfig::parse(&args.value("--chaos")) {
                 Ok(cfg) => opts.chaos = Some(cfg),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
+                Err(e) => args.fail(e),
             },
             "--resume" => opts.resume = true,
             "--isolate" => opts.isolate = true,
-            _ if a.starts_with("--") => {
-                eprintln!("unknown flag '{a}'");
-                usage();
-            }
+            _ if a.starts_with("--") => args.fail(format!("unknown flag '{a}'")),
             _ => targets.push(a),
         }
     }

@@ -2,57 +2,67 @@
 //! the Vitis-style reports side by side.
 //!
 //! ```text
-//! mha-csynth <kernel|all> [--ii <n>] [--unroll <n>] [--flow adaptor|cpp|both]
+//! mha-csynth <kernel|all> [--ii <n>] [--unroll <n>] [--partition <n>]
+//!            [--flatten] [--flow adaptor|cpp|both]
 //!            [--deadline-ms <n>] [--fuel <n>]
 //! ```
 //!
-//! `--deadline-ms` and `--fuel` run every flow + synthesis attempt under a
-//! [`pass_core::Budget`]; an exhausted budget surfaces as a structured
-//! `budget exceeded` failure instead of a hang.
+//! Each (kernel, flow) pair runs through the batch engine
+//! (`driver::batch::run_supervised`, without the cache): flow, csynth and
+//! co-simulation under one [`pass_core::Budget`] built from
+//! `--deadline-ms` and `--fuel`, so an exhausted budget surfaces as a
+//! structured `budget exceeded` failure instead of a hang. An adaptor-flow
+//! failure is reported as that flow's failure, never as a C++ result.
+//!
+//! Exit codes: 0 every pair synthesized and co-simulated, 1 some pair
+//! failed, 2 usage error.
 
-use driver::{cosim, run_flow_on_text, Directives, Flow};
-use pass_core::Budget;
-use vitis_sim::{csynth_budgeted, Target};
+use driver::batch::{run_supervised, BatchOptions, RunOutcome};
+use driver::cli::Args;
+use driver::Flow;
 
-fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
+const USAGE: &str = "usage: mha-csynth <kernel|all> [--ii <n>] [--unroll <n>] [--partition <n>] \
+                     [--flatten] [--flow adaptor|cpp|both] [--deadline-ms <n>] [--fuel <n>]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(name) = args.first() else {
-        eprintln!(
-            "usage: mha-csynth <kernel|all> [--ii <n>] [--unroll <n>] [--partition <n>] \
-             [--flatten] [--flow adaptor|cpp|both] [--deadline-ms <n>] [--fuel <n>]"
-        );
-        std::process::exit(2);
+    let mut opts = BatchOptions {
+        cache_dir: None,
+        ..BatchOptions::default()
     };
-    let directives = Directives {
-        pipeline_ii: parse_flag(&args, "--ii").map(|v| v as u32).or(Some(1)),
-        unroll_factor: parse_flag(&args, "--unroll").map(|v| v as u32),
-        partition_factor: parse_flag(&args, "--partition").map(|v| v as u32),
-        flatten: args.iter().any(|a| a == "--flatten"),
-    };
-    let deadline_ms = parse_flag(&args, "--deadline-ms");
-    let fuel = parse_flag(&args, "--fuel");
-    let flow_sel = args
-        .iter()
-        .position(|a| a == "--flow")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("both");
-    let flows: Vec<Flow> = match flow_sel {
-        "adaptor" => vec![Flow::Adaptor],
-        "cpp" => vec![Flow::Cpp],
-        _ => vec![Flow::Adaptor, Flow::Cpp],
+    const BOTH: &[Flow] = &[Flow::Adaptor, Flow::Cpp];
+    let mut flows = BOTH;
+    let mut name: Option<String> = None;
+    let mut args = Args::from_env(USAGE);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--ii" => opts.directives.pipeline_ii = Some(args.parse("--ii")),
+            "--unroll" => opts.directives.unroll_factor = Some(args.parse("--unroll")),
+            "--partition" => opts.directives.partition_factor = Some(args.parse("--partition")),
+            "--flatten" => opts.directives.flatten = true,
+            "--flow" => {
+                flows = args.choose(
+                    "--flow",
+                    &[
+                        ("adaptor", &[Flow::Adaptor]),
+                        ("cpp", &[Flow::Cpp]),
+                        ("both", BOTH),
+                    ],
+                )
+            }
+            "--deadline-ms" => opts.deadline_ms = Some(args.parse("--deadline-ms")),
+            "--fuel" => opts.fuel = Some(args.parse("--fuel")),
+            _ if a.starts_with("--") => args.fail(format!("unknown flag '{a}'")),
+            _ if name.is_none() => name = Some(a),
+            _ => args.fail(format!("only one kernel is accepted, got '{a}'")),
+        }
+    }
+    let Some(name) = name else {
+        args.fail("no kernel given")
     };
     let list: Vec<&kernels::Kernel> = if name == "all" {
         kernels::all_kernels().iter().collect()
     } else {
-        match kernels::kernel(name) {
+        match kernels::kernel(&name) {
             Some(k) => vec![k],
             None => {
                 eprintln!("unknown kernel '{name}'");
@@ -60,39 +70,32 @@ fn main() {
             }
         }
     };
-    let target = Target::default();
     let mut failures = 0u32;
     for k in list {
         println!("### {} — {}", k.name, k.description);
-        for &flow in &flows {
-            // One budget per (kernel, flow) attempt: the flow stages and
-            // synthesis draw from the same deadline and fuel pool.
-            let budget = Budget::from_limits(deadline_ms, fuel);
-            let art = match run_flow_on_text(k.name, k.mlir, &directives, flow, &budget) {
-                Ok(a) => a,
-                Err(e) => {
-                    println!("  [{}] flow failed: {e}", flow.label());
-                    failures += 1;
-                    continue;
-                }
+        for &flow in flows {
+            let opts = BatchOptions {
+                flow,
+                ..opts.clone()
             };
-            match csynth_budgeted(&art.module, &target, &budget) {
-                Ok(report) => match cosim(&art.module, k, 2026) {
-                    Ok(sim) => {
-                        println!(
-                            "--- flow: {} (cosim max err {})",
-                            flow.label(),
-                            sim.max_abs_err
-                        );
-                        print!("{}", report.render());
-                    }
-                    Err(e) => {
-                        println!("  [{}] cosim failed: {e}", flow.label());
-                        failures += 1;
-                    }
-                },
-                Err(e) => {
-                    println!("  [{}] csynth failed: {e}", flow.label());
+            let (outcome, _) = run_supervised(k, &opts).expect("no cache to open");
+            let label = flow.label();
+            match outcome {
+                RunOutcome::Completed(a) => {
+                    println!("--- flow: {label} (cosim max err {})", a.cosim_max_err);
+                    print!("{}", a.csynth.render());
+                }
+                // The engine's C++ fallback is not this flow's result.
+                RunOutcome::Degraded { reason, .. } => {
+                    println!("  [{label}] failed: {reason}");
+                    failures += 1;
+                }
+                RunOutcome::Failed(e) => {
+                    println!("  [{label}] failed: {e}");
+                    failures += 1;
+                }
+                RunOutcome::Panicked { message } => {
+                    println!("  [{label}] panicked: {message}");
                     failures += 1;
                 }
             }

@@ -37,38 +37,17 @@
 
 use std::path::PathBuf;
 
+use driver::cli::Args;
 use driver::corpus::Corpus;
 use driver::{Warden, WardenConfig};
 use fuzzing::reduce::ReduceOpts;
 use fuzzing::{run_campaign, run_campaign_with, CampaignOpts};
 use pass_core::report::json_str;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mha-fuzz [--seed N] [--count N] [--format text|json]\n\
-         \x20               [--corpus DIR] [--step-limit N] [--fuel N]\n\
-         \x20               [--deadline-ms N] [--no-reduce] [--reduce-budget N]\n\
-         \x20               [--legality] [--isolate]"
-    );
-    std::process::exit(2);
-}
-
-fn flag_value(args: &mut std::env::Args, flag: &str) -> String {
-    match args.next() {
-        Some(v) => v,
-        None => {
-            eprintln!("{flag} needs a value");
-            usage();
-        }
-    }
-}
-
-fn parse_u64(s: &str, flag: &str) -> u64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs an integer, got '{s}'");
-        usage();
-    })
-}
+const USAGE: &str = "usage: mha-fuzz [--seed N] [--count N] [--format text|json]\n\
+\x20               [--corpus DIR] [--step-limit N] [--fuel N]\n\
+\x20               [--deadline-ms N] [--no-reduce] [--reduce-budget N]\n\
+\x20               [--legality] [--isolate]";
 
 fn main() {
     // Worker mode: the warden re-execs this binary with `--warden-child`
@@ -86,47 +65,25 @@ fn main() {
         ..CampaignOpts::default()
     };
 
-    let mut args = std::env::args();
-    args.next();
+    let mut args = Args::from_env(USAGE);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => seed_start = parse_u64(&flag_value(&mut args, "--seed"), "--seed"),
-            "--count" => count = parse_u64(&flag_value(&mut args, "--count"), "--count"),
-            "--format" => match flag_value(&mut args, "--format").as_str() {
-                "text" => format_json = false,
-                "json" => format_json = true,
-                other => {
-                    eprintln!("--format needs 'text' or 'json', got '{other}'");
-                    usage();
-                }
-            },
-            "--corpus" => corpus_dir = PathBuf::from(flag_value(&mut args, "--corpus")),
-            "--step-limit" => {
-                opts.oracle.step_limit =
-                    parse_u64(&flag_value(&mut args, "--step-limit"), "--step-limit")
-            }
-            "--fuel" => {
-                opts.oracle.fuel = Some(parse_u64(&flag_value(&mut args, "--fuel"), "--fuel"))
-            }
-            "--deadline-ms" => {
-                opts.oracle.deadline_ms = Some(parse_u64(
-                    &flag_value(&mut args, "--deadline-ms"),
-                    "--deadline-ms",
-                ))
-            }
+            "--seed" => seed_start = args.parse("--seed"),
+            "--count" => count = args.parse("--count"),
+            "--format" => format_json = args.choose("--format", &[("text", false), ("json", true)]),
+            "--corpus" => corpus_dir = PathBuf::from(args.value("--corpus")),
+            "--step-limit" => opts.oracle.step_limit = args.parse("--step-limit"),
+            "--fuel" => opts.oracle.fuel = Some(args.parse("--fuel")),
+            "--deadline-ms" => opts.oracle.deadline_ms = Some(args.parse("--deadline-ms")),
             "--no-reduce" => opts.reduce = None,
             "--legality" => opts.legality = true,
             "--isolate" => isolate = true,
             "--reduce-budget" => {
-                let n = parse_u64(&flag_value(&mut args, "--reduce-budget"), "--reduce-budget");
                 opts.reduce = Some(ReduceOpts {
-                    max_attempts: n as usize,
-                });
+                    max_attempts: args.parse("--reduce-budget"),
+                })
             }
-            _ => {
-                eprintln!("unknown argument '{a}'");
-                usage();
-            }
+            _ => args.fail(format!("unknown argument '{a}'")),
         }
     }
 

@@ -64,44 +64,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use driver::cli::Args;
 use pass_core::report::json_str;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mha-load --addr HOST:PORT [--requests N] [--concurrency N]\n\
-         \x20               [--rate R] [--repeat N] [--seed N]\n\
-         \x20               [--mix suite|fuzz|both] [--deadline-ms N] [--fuel N]\n\
-         \x20               [--min-warm-ratio F] [--clients N] [--keep-alive]\n\
-         \x20               [--retries N] [--allow-503] [--max-polite-p99-us N]\n\
-         \x20               [--adversary slow-loris|disconnect|hot|crash]\n\
-         \x20               [--adversary-threads N] [--format text|json]"
-    );
-    std::process::exit(2);
-}
-
-fn flag_value(args: &mut std::env::Args, flag: &str) -> String {
-    match args.next() {
-        Some(v) => v,
-        None => {
-            eprintln!("{flag} needs a value");
-            usage();
-        }
-    }
-}
-
-fn parse_u64(s: &str, flag: &str) -> u64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs an integer, got '{s}'");
-        usage();
-    })
-}
-
-fn parse_f64(s: &str, flag: &str) -> f64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs a number, got '{s}'");
-        usage();
-    })
-}
+const USAGE: &str = "usage: mha-load --addr HOST:PORT [--requests N] [--concurrency N]\n\
+\x20               [--rate R] [--repeat N] [--seed N]\n\
+\x20               [--mix suite|fuzz|both] [--deadline-ms N] [--fuel N]\n\
+\x20               [--min-warm-ratio F] [--clients N] [--keep-alive]\n\
+\x20               [--retries N] [--allow-503] [--max-polite-p99-us N]\n\
+\x20               [--adversary slow-loris|disconnect|hot|crash]\n\
+\x20               [--adversary-threads N] [--format text|json]";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mix {
@@ -497,94 +469,54 @@ fn main() {
     let mut adversary: Option<Adversary> = None;
     let mut adversary_threads = 1usize;
 
-    let mut args = std::env::args();
-    args.next();
+    let mut args = Args::from_env(USAGE);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--addr" => addr = flag_value(&mut args, "--addr"),
-            "--requests" => {
-                requests = parse_u64(&flag_value(&mut args, "--requests"), "--requests") as usize
+            "--addr" => addr = args.value("--addr"),
+            "--requests" => requests = args.parse("--requests"),
+            "--concurrency" => concurrency = args.parse("--concurrency"),
+            "--rate" => rate = args.parse("--rate"),
+            "--repeat" => repeat = args.parse("--repeat"),
+            "--seed" => seed = args.parse("--seed"),
+            "--mix" => {
+                mix = args.choose(
+                    "--mix",
+                    &[
+                        ("suite", Mix::Suite),
+                        ("fuzz", Mix::Fuzz),
+                        ("both", Mix::Both),
+                    ],
+                )
             }
-            "--concurrency" => {
-                concurrency =
-                    parse_u64(&flag_value(&mut args, "--concurrency"), "--concurrency") as usize
-            }
-            "--rate" => rate = parse_f64(&flag_value(&mut args, "--rate"), "--rate"),
-            "--repeat" => {
-                repeat = parse_u64(&flag_value(&mut args, "--repeat"), "--repeat") as usize
-            }
-            "--seed" => seed = parse_u64(&flag_value(&mut args, "--seed"), "--seed"),
-            "--mix" => match flag_value(&mut args, "--mix").as_str() {
-                "suite" => mix = Mix::Suite,
-                "fuzz" => mix = Mix::Fuzz,
-                "both" => mix = Mix::Both,
-                other => {
-                    eprintln!("--mix needs suite|fuzz|both, got '{other}'");
-                    usage();
-                }
-            },
-            "--deadline-ms" => {
-                deadline_ms = Some(parse_u64(
-                    &flag_value(&mut args, "--deadline-ms"),
-                    "--deadline-ms",
-                ))
-            }
-            "--fuel" => fuel = Some(parse_u64(&flag_value(&mut args, "--fuel"), "--fuel")),
-            "--min-warm-ratio" => {
-                min_warm_ratio = Some(parse_f64(
-                    &flag_value(&mut args, "--min-warm-ratio"),
-                    "--min-warm-ratio",
-                ))
-            }
-            "--clients" => {
-                clients = parse_u64(&flag_value(&mut args, "--clients"), "--clients") as usize
-            }
+            "--deadline-ms" => deadline_ms = Some(args.parse("--deadline-ms")),
+            "--fuel" => fuel = Some(args.parse("--fuel")),
+            "--min-warm-ratio" => min_warm_ratio = Some(args.parse("--min-warm-ratio")),
+            "--clients" => clients = args.parse("--clients"),
             "--keep-alive" => keep_alive = true,
-            "--retries" => retries = parse_u64(&flag_value(&mut args, "--retries"), "--retries"),
+            "--retries" => retries = args.parse("--retries"),
             "--allow-503" => allow_503 = true,
-            "--max-polite-p99-us" => {
-                max_polite_p99_us = Some(parse_u64(
-                    &flag_value(&mut args, "--max-polite-p99-us"),
-                    "--max-polite-p99-us",
+            "--max-polite-p99-us" => max_polite_p99_us = Some(args.parse("--max-polite-p99-us")),
+            "--adversary" => {
+                adversary = Some(args.choose(
+                    "--adversary",
+                    &[
+                        ("slow-loris", Adversary::SlowLoris),
+                        ("disconnect", Adversary::Disconnect),
+                        ("hot", Adversary::Hot),
+                        ("crash", Adversary::Crash),
+                    ],
                 ))
             }
-            "--adversary" => match flag_value(&mut args, "--adversary").as_str() {
-                "slow-loris" => adversary = Some(Adversary::SlowLoris),
-                "disconnect" => adversary = Some(Adversary::Disconnect),
-                "hot" => adversary = Some(Adversary::Hot),
-                "crash" => adversary = Some(Adversary::Crash),
-                other => {
-                    eprintln!("--adversary needs slow-loris|disconnect|hot|crash, got '{other}'");
-                    usage();
-                }
-            },
-            "--adversary-threads" => {
-                adversary_threads = parse_u64(
-                    &flag_value(&mut args, "--adversary-threads"),
-                    "--adversary-threads",
-                ) as usize
-            }
-            "--format" => match flag_value(&mut args, "--format").as_str() {
-                "text" => format_json = false,
-                "json" => format_json = true,
-                other => {
-                    eprintln!("--format needs 'text' or 'json', got '{other}'");
-                    usage();
-                }
-            },
-            _ => {
-                eprintln!("unknown flag '{a}'");
-                usage();
-            }
+            "--adversary-threads" => adversary_threads = args.parse("--adversary-threads"),
+            "--format" => format_json = args.choose("--format", &[("text", false), ("json", true)]),
+            _ => args.fail(format!("unknown flag '{a}'")),
         }
     }
     if addr.is_empty() {
-        eprintln!("--addr is required");
-        usage();
+        args.fail("--addr is required");
     }
     if requests == 0 || repeat == 0 || concurrency == 0 {
-        eprintln!("--requests, --repeat, and --concurrency must be positive");
-        usage();
+        args.fail("--requests, --repeat, and --concurrency must be positive");
     }
 
     // Probe before loading so a dead or draining server is exit 2, not

@@ -24,36 +24,15 @@
 
 use std::path::PathBuf;
 
+use driver::cli::Args;
 use driver::corpus::Corpus;
 use fuzzing::reduce::{reduce, ReduceOpts};
 use fuzzing::{run_oracles, OracleOpts};
 use pass_core::report::json_str;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mha-reduce <kernel.mlir | entry.finding> [--seed N] [--out PATH]\n\
-         \x20                 [--max-attempts N] [--format text|json]\n\
-         \x20                 [--step-limit N] [--fuel N] [--deadline-ms N]"
-    );
-    std::process::exit(2);
-}
-
-fn flag_value(args: &mut std::env::Args, flag: &str) -> String {
-    match args.next() {
-        Some(v) => v,
-        None => {
-            eprintln!("{flag} needs a value");
-            usage();
-        }
-    }
-}
-
-fn parse_u64(s: &str, flag: &str) -> u64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs an integer, got '{s}'");
-        usage();
-    })
-}
+const USAGE: &str = "usage: mha-reduce <kernel.mlir | entry.finding> [--seed N] [--out PATH]\n\
+\x20                 [--max-attempts N] [--format text|json]\n\
+\x20                 [--step-limit N] [--fuel N] [--deadline-ms N]";
 
 fn main() {
     let mut input: Option<PathBuf> = None;
@@ -63,48 +42,25 @@ fn main() {
     let mut ropts = ReduceOpts::default();
     let mut oracle = OracleOpts::default();
 
-    let mut args = std::env::args();
-    args.next();
+    let mut args = Args::from_env(USAGE);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => seed = Some(parse_u64(&flag_value(&mut args, "--seed"), "--seed")),
-            "--out" => out_path = Some(PathBuf::from(flag_value(&mut args, "--out"))),
-            "--max-attempts" => {
-                ropts.max_attempts =
-                    parse_u64(&flag_value(&mut args, "--max-attempts"), "--max-attempts") as usize
-            }
-            "--format" => match flag_value(&mut args, "--format").as_str() {
-                "text" => format_json = false,
-                "json" => format_json = true,
-                other => {
-                    eprintln!("--format needs 'text' or 'json', got '{other}'");
-                    usage();
-                }
-            },
-            "--step-limit" => {
-                oracle.step_limit =
-                    parse_u64(&flag_value(&mut args, "--step-limit"), "--step-limit")
-            }
-            "--fuel" => oracle.fuel = Some(parse_u64(&flag_value(&mut args, "--fuel"), "--fuel")),
-            "--deadline-ms" => {
-                oracle.deadline_ms = Some(parse_u64(
-                    &flag_value(&mut args, "--deadline-ms"),
-                    "--deadline-ms",
-                ))
-            }
-            _ if a.starts_with("--") => {
-                eprintln!("unknown flag '{a}'");
-                usage();
-            }
+            "--seed" => seed = Some(args.parse("--seed")),
+            "--out" => out_path = Some(PathBuf::from(args.value("--out"))),
+            "--max-attempts" => ropts.max_attempts = args.parse("--max-attempts"),
+            "--format" => format_json = args.choose("--format", &[("text", false), ("json", true)]),
+            "--step-limit" => oracle.step_limit = args.parse("--step-limit"),
+            "--fuel" => oracle.fuel = Some(args.parse("--fuel")),
+            "--deadline-ms" => oracle.deadline_ms = Some(args.parse("--deadline-ms")),
+            _ if a.starts_with("--") => args.fail(format!("unknown flag '{a}'")),
             _ if input.is_none() => input = Some(PathBuf::from(a)),
-            _ => {
-                eprintln!("only one input file is accepted");
-                usage();
-            }
+            _ => args.fail("only one input file is accepted"),
         }
     }
 
-    let Some(input) = input else { usage() };
+    let Some(input) = input else {
+        args.fail("no input file given")
+    };
 
     // A corpus entry brings its own kernel text and seed; a raw file is
     // read verbatim with the seed from --seed (default 0).

@@ -55,52 +55,24 @@
 
 use std::path::PathBuf;
 
+use driver::cli::Args;
 use driver::{ChaosConfig, ServeConfig, Server};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mha-serve [--addr HOST:PORT] [--workers N]\n\
-         \x20                [--no-cache] [--cache-dir DIR] [--fresh-journal]\n\
-         \x20                [--deadline-ms N] [--fuel N] [--seed N]\n\
-         \x20                [--max-body BYTES]\n\
-         \x20                [--read-timeout-ms N] [--header-deadline-ms N]\n\
-         \x20                [--write-timeout-ms N] [--no-keep-alive]\n\
-         \x20                [--keepalive-idle-ms N] [--keepalive-max-requests N]\n\
-         \x20                [--queue-depth N] [--quantum N] [--shed-p99-ms N]\n\
-         \x20                [--breaker-window N] [--breaker-min-samples N]\n\
-         \x20                [--breaker-trip-ratio F] [--breaker-cooldown-ms N]\n\
-         \x20                [--chaos SEED,RATE]\n\
-         \x20                [--isolate] [--warden-pool N]\n\
-         \x20                [--max-requests-per-worker N]\n\
-         \x20                [--max-worker-rss-mb N] [--warden-chaos SEED,RATE]\n\
-         \x20                [--max-cached-responses N]"
-    );
-    std::process::exit(2);
-}
-
-fn flag_value(args: &mut std::env::Args, flag: &str) -> String {
-    match args.next() {
-        Some(v) => v,
-        None => {
-            eprintln!("{flag} needs a value");
-            usage();
-        }
-    }
-}
-
-fn parse_u64(s: &str, flag: &str) -> u64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs an integer, got '{s}'");
-        usage();
-    })
-}
-
-fn parse_f64(s: &str, flag: &str) -> f64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs a number, got '{s}'");
-        usage();
-    })
-}
+const USAGE: &str = "usage: mha-serve [--addr HOST:PORT] [--workers N]\n\
+\x20                [--no-cache] [--cache-dir DIR] [--fresh-journal]\n\
+\x20                [--deadline-ms N] [--fuel N] [--seed N]\n\
+\x20                [--max-body BYTES]\n\
+\x20                [--read-timeout-ms N] [--header-deadline-ms N]\n\
+\x20                [--write-timeout-ms N] [--no-keep-alive]\n\
+\x20                [--keepalive-idle-ms N] [--keepalive-max-requests N]\n\
+\x20                [--queue-depth N] [--quantum N] [--shed-p99-ms N]\n\
+\x20                [--breaker-window N] [--breaker-min-samples N]\n\
+\x20                [--breaker-trip-ratio F] [--breaker-cooldown-ms N]\n\
+\x20                [--chaos SEED,RATE]\n\
+\x20                [--isolate] [--warden-pool N]\n\
+\x20                [--max-requests-per-worker N]\n\
+\x20                [--max-worker-rss-mb N] [--warden-chaos SEED,RATE]\n\
+\x20                [--max-cached-responses N]";
 
 fn main() {
     // Worker mode: the warden re-execs this binary with `--warden-child`
@@ -113,145 +85,58 @@ fn main() {
         ..ServeConfig::default()
     };
 
-    let mut args = std::env::args();
-    args.next();
+    let mut args = Args::from_env(USAGE);
     while let Some(a) = args.next() {
+        let q = &mut config.queue;
+        let b = &mut config.breaker;
         match a.as_str() {
-            "--addr" => config.addr = flag_value(&mut args, "--addr"),
-            "--workers" => {
-                config.workers =
-                    parse_u64(&flag_value(&mut args, "--workers"), "--workers") as usize
-            }
+            "--addr" => config.addr = args.value("--addr"),
+            "--workers" => config.workers = args.parse("--workers"),
             "--no-cache" => config.cache_dir = None,
-            "--cache-dir" => {
-                config.cache_dir = Some(PathBuf::from(flag_value(&mut args, "--cache-dir")))
-            }
+            "--cache-dir" => config.cache_dir = Some(PathBuf::from(args.value("--cache-dir"))),
             "--fresh-journal" => config.resume = false,
-            "--deadline-ms" => {
-                config.deadline_ms = Some(parse_u64(
-                    &flag_value(&mut args, "--deadline-ms"),
-                    "--deadline-ms",
-                ))
-            }
-            "--fuel" => config.fuel = Some(parse_u64(&flag_value(&mut args, "--fuel"), "--fuel")),
-            "--seed" => config.seed = parse_u64(&flag_value(&mut args, "--seed"), "--seed"),
-            "--max-body" => {
-                config.max_body =
-                    parse_u64(&flag_value(&mut args, "--max-body"), "--max-body") as usize
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout_ms = parse_u64(
-                    &flag_value(&mut args, "--read-timeout-ms"),
-                    "--read-timeout-ms",
-                )
-            }
+            "--deadline-ms" => config.deadline_ms = Some(args.parse("--deadline-ms")),
+            "--fuel" => config.fuel = Some(args.parse("--fuel")),
+            "--seed" => config.seed = args.parse("--seed"),
+            "--max-body" => config.max_body = args.parse("--max-body"),
+            "--read-timeout-ms" => config.read_timeout_ms = args.parse("--read-timeout-ms"),
             "--header-deadline-ms" => {
-                config.header_deadline_ms = parse_u64(
-                    &flag_value(&mut args, "--header-deadline-ms"),
-                    "--header-deadline-ms",
-                )
+                config.header_deadline_ms = args.parse("--header-deadline-ms")
             }
-            "--write-timeout-ms" => {
-                config.write_timeout_ms = parse_u64(
-                    &flag_value(&mut args, "--write-timeout-ms"),
-                    "--write-timeout-ms",
-                )
-            }
+            "--write-timeout-ms" => config.write_timeout_ms = args.parse("--write-timeout-ms"),
             "--no-keep-alive" => config.keepalive = false,
-            "--keepalive-idle-ms" => {
-                config.keepalive_idle_ms = parse_u64(
-                    &flag_value(&mut args, "--keepalive-idle-ms"),
-                    "--keepalive-idle-ms",
-                )
-            }
+            "--keepalive-idle-ms" => config.keepalive_idle_ms = args.parse("--keepalive-idle-ms"),
             "--keepalive-max-requests" => {
-                config.keepalive_max_requests = parse_u64(
-                    &flag_value(&mut args, "--keepalive-max-requests"),
-                    "--keepalive-max-requests",
-                ) as u32
+                config.keepalive_max_requests = args.parse("--keepalive-max-requests")
             }
-            "--queue-depth" => {
-                config.queue.max_depth =
-                    parse_u64(&flag_value(&mut args, "--queue-depth"), "--queue-depth") as usize
-            }
-            "--quantum" => {
-                config.queue.quantum =
-                    parse_u64(&flag_value(&mut args, "--quantum"), "--quantum").max(1) as u32
-            }
-            "--shed-p99-ms" => {
-                config.queue.shed_wait_p99_ms =
-                    parse_u64(&flag_value(&mut args, "--shed-p99-ms"), "--shed-p99-ms")
-            }
-            "--breaker-window" => {
-                config.breaker.window = parse_u64(
-                    &flag_value(&mut args, "--breaker-window"),
-                    "--breaker-window",
-                ) as usize
-            }
-            "--breaker-min-samples" => {
-                config.breaker.min_samples = parse_u64(
-                    &flag_value(&mut args, "--breaker-min-samples"),
-                    "--breaker-min-samples",
-                ) as usize
-            }
-            "--breaker-trip-ratio" => {
-                config.breaker.trip_ratio = parse_f64(
-                    &flag_value(&mut args, "--breaker-trip-ratio"),
-                    "--breaker-trip-ratio",
-                )
-            }
-            "--breaker-cooldown-ms" => {
-                config.breaker.cooldown_ms = parse_u64(
-                    &flag_value(&mut args, "--breaker-cooldown-ms"),
-                    "--breaker-cooldown-ms",
-                )
-            }
-            "--chaos" => {
-                config.chaos = Some(
-                    ChaosConfig::parse(&flag_value(&mut args, "--chaos")).unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        usage();
-                    }),
-                )
-            }
+            "--queue-depth" => q.max_depth = args.parse("--queue-depth"),
+            "--quantum" => q.quantum = args.parse::<u32>("--quantum").max(1),
+            "--shed-p99-ms" => q.shed_wait_p99_ms = args.parse("--shed-p99-ms"),
+            "--breaker-window" => b.window = args.parse("--breaker-window"),
+            "--breaker-min-samples" => b.min_samples = args.parse("--breaker-min-samples"),
+            "--breaker-trip-ratio" => b.trip_ratio = args.parse("--breaker-trip-ratio"),
+            "--breaker-cooldown-ms" => b.cooldown_ms = args.parse("--breaker-cooldown-ms"),
+            "--chaos" => match ChaosConfig::parse(&args.value("--chaos")) {
+                Ok(cfg) => config.chaos = Some(cfg),
+                Err(e) => args.fail(e),
+            },
             "--isolate" => config.isolate = true,
-            "--warden-pool" => {
-                config.warden_pool =
-                    parse_u64(&flag_value(&mut args, "--warden-pool"), "--warden-pool") as usize
-            }
+            "--warden-pool" => config.warden_pool = args.parse("--warden-pool"),
             "--max-requests-per-worker" => {
-                config.max_requests_per_worker = parse_u64(
-                    &flag_value(&mut args, "--max-requests-per-worker"),
-                    "--max-requests-per-worker",
-                )
-                .max(1) as u32
+                config.max_requests_per_worker =
+                    args.parse::<u32>("--max-requests-per-worker").max(1)
             }
             "--max-worker-rss-mb" => {
-                config.max_worker_rss_mb = Some(parse_u64(
-                    &flag_value(&mut args, "--max-worker-rss-mb"),
-                    "--max-worker-rss-mb",
-                ))
+                config.max_worker_rss_mb = Some(args.parse("--max-worker-rss-mb"))
             }
-            "--warden-chaos" => {
-                config.warden_chaos = Some(
-                    ChaosConfig::parse(&flag_value(&mut args, "--warden-chaos")).unwrap_or_else(
-                        |e| {
-                            eprintln!("{e}");
-                            usage();
-                        },
-                    ),
-                )
-            }
+            "--warden-chaos" => match ChaosConfig::parse(&args.value("--warden-chaos")) {
+                Ok(cfg) => config.warden_chaos = Some(cfg),
+                Err(e) => args.fail(e),
+            },
             "--max-cached-responses" => {
-                config.max_cached_responses = parse_u64(
-                    &flag_value(&mut args, "--max-cached-responses"),
-                    "--max-cached-responses",
-                ) as usize
+                config.max_cached_responses = args.parse("--max-cached-responses")
             }
-            _ => {
-                eprintln!("unknown flag '{a}'");
-                usage();
-            }
+            _ => args.fail(format!("unknown flag '{a}'")),
         }
     }
 

@@ -156,7 +156,7 @@ impl Corpus {
         let hits: u64 = take("hits")?
             .parse()
             .map_err(|_| format!("{}: bad hits", path.display()))?;
-        let signature = Signature::from_rendered(&take("signature")?);
+        let signature = Signature::from_stored(&take("signature")?);
         if lines.next() != Some("--- kernel") {
             return Err(format!("{}: missing '--- kernel' marker", path.display()));
         }

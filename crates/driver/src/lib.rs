@@ -40,6 +40,7 @@
 
 pub mod batch;
 pub mod cache;
+pub mod cli;
 pub mod corpus;
 pub mod cosim;
 pub mod experiment;
@@ -86,15 +87,12 @@ impl From<pass_core::Diagnostic> for DriverError {
     }
 }
 
-impl From<mlir_lite::Error> for DriverError {
-    fn from(e: mlir_lite::Error) -> Self {
+/// An IR-crate error reaches the driver from MLIR parsing, verification
+/// or lowering, so it reads `mlir: ...`; an adaptor failure is prefixed
+/// `llvm: ` by the [`FlowError`] conversion.
+impl From<pass_core::Error> for DriverError {
+    fn from(e: pass_core::Error) -> Self {
         DriverError(format!("mlir: {e}"))
-    }
-}
-
-impl From<llvm_lite::Error> for DriverError {
-    fn from(e: llvm_lite::Error) -> Self {
-        DriverError(format!("llvm: {e}"))
     }
 }
 
@@ -106,13 +104,13 @@ impl From<hls_cpp::Error> for DriverError {
 
 /// A flow failure reads like every other `DriverError`: the failing
 /// layer's prefix (`mlir:`, `llvm:`, `cpp-flow:`), then its own message.
-/// A budget trip renders as its `budget` diagnostic.
+/// A budget trip renders as the trip itself.
 impl From<FlowError> for DriverError {
     fn from(e: FlowError) -> Self {
         match e {
-            FlowError::Budget { trip, .. } => trip.to_diagnostic().into(),
+            FlowError::Budget { trip, .. } => DriverError(trip.to_string()),
             FlowError::Lower(e) => e.into(),
-            FlowError::Adaptor(e) => e.into(),
+            FlowError::Adaptor(e) => DriverError(format!("llvm: {e}")),
             FlowError::EmitCpp(e) | FlowError::Frontend(e) => e.into(),
             FlowError::Cleanup(d) => d.into(),
         }

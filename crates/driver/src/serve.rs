@@ -70,10 +70,11 @@
 //! Failures map the supervisor's fault taxonomy onto HTTP statuses:
 //! deadline trips are `408`, fuel trips `429`, deterministic faults `422`
 //! (with the located diagnostics in the body), transient faults `503`,
-//! infra faults and panics `500`. Budget trips keep the stable budget
-//! grammar in the `rendered` field, so clients recover them structurally
-//! with `pass_core::BudgetError::from_rendered`. Every `429`/`503`
-//! carries a `Retry-After` header.
+//! infra faults and panics `500`. A failed body carries the trip or fault
+//! as `outcome.stage`, `outcome.class` and `outcome.error`, which clients
+//! read; `rendered` is their display text (for a budget trip, the stable
+//! `{kind} budget exceeded in {stage}: {detail}` grammar). Every
+//! `429`/`503` carries a `Retry-After` header.
 //!
 //! The seeded [`ChaosEngine`] reaches into the serve layer itself when
 //! `--chaos` is set: `serve/read` (slow read), `serve/worker` (worker

@@ -21,10 +21,8 @@
 use std::fmt;
 
 use adaptor::{AdaptorConfig, AdaptorReport};
-use lowering::LowerOptions;
 use mlir_lite::MlirModule;
-use pass_core::budget::BUDGET_COMPONENT;
-use pass_core::{Budget, BudgetError, Diagnostic, PipelineReport};
+use pass_core::{Budget, BudgetError, Diagnostic, Error, PipelineReport};
 
 /// Which path from MLIR to HLS-ready LLVM IR.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,13 +100,12 @@ impl FlowError {
     }
 }
 
-/// A pass manager returns a budget trip as a [`BUDGET_COMPONENT`]
-/// diagnostic; this is the one place it is read back as a trip. Any other
-/// diagnostic is handed back.
-fn tripped(stage: &'static str, d: Diagnostic) -> Result<FlowError, Diagnostic> {
-    match BudgetError::from_diagnostic(&d).filter(|_| d.pass == BUDGET_COMPONENT) {
-        Some(trip) => Ok(FlowError::Budget { stage, trip }),
-        None => Err(d),
+/// A pass pipeline's error in `stage`: its budget trip is
+/// [`FlowError::Budget`], anything else is the stage's own failure.
+fn or_trip(stage: &'static str, fail: fn(Error) -> FlowError) -> impl Fn(Error) -> FlowError {
+    move |e| match e {
+        Error::Budget(trip) => FlowError::Budget { stage, trip },
+        e => fail(e),
     }
 }
 
@@ -147,27 +144,18 @@ pub fn run(
             on_stage("lower");
             charge("lower")?;
             let mut module = report.time_stage("lower", || {
-                let mut out = lowering::lower_module(m, &LowerOptions { cleanup: false })
-                    .map_err(FlowError::Lower)?;
+                let mut out = lowering::lower_module(m).map_err(FlowError::Lower)?;
                 cleanup
                     .run_to_fixpoint_budgeted(&mut out, 4, budget)
-                    .map_err(|d| {
-                        tripped("lower", d).unwrap_or_else(|d| {
-                            FlowError::Lower(lowering::Error::Transform(d.to_string()))
-                        })
-                    })?;
+                    .map_err(or_trip("lower", FlowError::Lower))?;
                 Ok(out)
             })?;
             on_stage("adaptor");
-            let adaptor_report = report.time_stage("adaptor", || {
-                adaptor::run_adaptor_budgeted(&mut module, &AdaptorConfig::default(), budget)
-                    .map_err(|e| match e {
-                        llvm_lite::Error::Diag(d) => {
-                            tripped("adaptor", d).unwrap_or_else(|d| FlowError::Adaptor(d.into()))
-                        }
-                        e => FlowError::Adaptor(e),
-                    })
-            })?;
+            let adaptor_report = report
+                .time_stage("adaptor", || {
+                    adaptor::run_adaptor_budgeted(&mut module, &AdaptorConfig::default(), budget)
+                })
+                .map_err(or_trip("adaptor", FlowError::Adaptor))?;
             (module, Some(adaptor_report), None)
         }
         Flow::Cpp => {
@@ -184,7 +172,7 @@ pub fn run(
             on_stage("cleanup");
             let fixpoint = cleanup
                 .run_to_fixpoint_budgeted(&mut module, 4, budget)
-                .map_err(|d| tripped("cleanup", d).unwrap_or_else(FlowError::Cleanup))?;
+                .map_err(or_trip("cleanup", |e| FlowError::Cleanup(e.into())))?;
             report.extend_prefixed("cleanup", &fixpoint);
             (module, None, Some(cpp))
         }
@@ -222,6 +210,39 @@ mod tests {
             Ok(_) => panic!("one unit of fuel cannot lower gemm"),
         }
         assert_eq!(stages, ["lower"]);
+    }
+
+    /// Run `flow` over gemm with `fuel` units and return the trip.
+    fn trip(flow: Flow, fuel: u64) -> (&'static str, BudgetError) {
+        let budget = Budget::from_limits(None, Some(fuel));
+        match run(gemm(), flow, &budget, &mut |_| {}) {
+            Err(FlowError::Budget { stage, trip }) => (stage, trip),
+            Err(other) => panic!("expected a budget trip, got {other:?}"),
+            Ok(_) => panic!("{fuel} unit(s) of fuel cannot finish the {flow:?} flow"),
+        }
+    }
+
+    #[test]
+    fn adaptor_pipeline_trip_is_typed_and_names_the_pass() {
+        // `flow/lower` plus every pass lowering's cleanup runs, then two
+        // adaptor passes: the third one trips.
+        let mut lowered = lowering::lower_module(gemm()).unwrap();
+        let cleanup = llvm_lite::transforms::standard_cleanup()
+            .run_to_fixpoint(&mut lowered, 4)
+            .unwrap();
+        let fuel = 1 + cleanup.passes.len() as u64 + 2;
+        let (stage, trip) = trip(Flow::Adaptor, fuel);
+        assert_eq!((stage, trip.kind), ("adaptor", BudgetKind::Fuel));
+        assert_eq!(trip.stage, adaptor::pipeline::PASS_NAMES[2]);
+    }
+
+    #[test]
+    fn cpp_cleanup_trip_is_typed_and_names_the_pass() {
+        // `flow/emit-cpp`, `flow/frontend` and mem2reg take the three
+        // units; the cleanup's second pass trips.
+        let (stage, trip) = trip(Flow::Cpp, 3);
+        assert_eq!((stage, trip.kind), ("cleanup", BudgetKind::Fuel));
+        assert_eq!(trip.stage, "fold-constants");
     }
 
     #[test]

@@ -133,8 +133,8 @@ impl Signature {
         ))
     }
 
-    /// Reconstruct a signature from its rendered form (corpus files).
-    pub fn from_rendered(s: &str) -> Signature {
+    /// Reconstruct a signature as a corpus file stores it.
+    pub fn from_stored(s: &str) -> Signature {
         Signature(s.to_string())
     }
 

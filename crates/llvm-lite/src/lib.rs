@@ -46,53 +46,9 @@ pub use types::Type;
 pub use value::Value;
 
 /// Errors produced anywhere in the crate (parsing, verification,
-/// interpretation). Kept as one enum so callers can uniformly `?` through
-/// flow drivers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Error {
-    /// Textual parse error with 1-based line number.
-    Parse { line: u32, msg: String },
-    /// Module/function failed structural verification.
-    Verify(String),
-    /// Interpreter trapped (OOB access, missing function, div-by-zero...).
-    Interp(String),
-    /// A transform was asked to do something unsupported.
-    Transform(String),
-    /// A structured, located diagnostic from the pass/verifier layer.
-    Diag(pass_core::Diagnostic),
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Error::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
-            Error::Verify(m) => write!(f, "verification error: {m}"),
-            Error::Interp(m) => write!(f, "interpreter trap: {m}"),
-            Error::Transform(m) => write!(f, "transform error: {m}"),
-            Error::Diag(d) => write!(f, "{d}"),
-        }
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<pass_core::Diagnostic> for Error {
-    fn from(d: pass_core::Diagnostic) -> Error {
-        Error::Diag(d)
-    }
-}
-
-impl From<Error> for pass_core::Diagnostic {
-    fn from(e: Error) -> pass_core::Diagnostic {
-        match e {
-            Error::Diag(d) => d,
-            other => pass_core::Diagnostic::error("llvm-lite", other.to_string()),
-        }
-    }
-}
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, Error>;
+/// interpretation): the IR crates' one error type, shared with `mlir-lite`
+/// and the pass manager.
+pub use pass_core::{Error, Result};
 
 impl pass_core::PassIr for Module {
     /// Live instructions across all function definitions.

@@ -29,49 +29,31 @@ pub mod unroll;
 
 use mlir_lite::MlirModule;
 
-/// Lowering errors wrap the MLIR error type.
-pub type Error = mlir_lite::Error;
-/// Result alias.
-pub type Result<T> = std::result::Result<T, Error>;
-
-/// Options controlling the lowering pipeline.
-#[derive(Clone, Debug)]
-pub struct LowerOptions {
-    /// Run the llvm-lite standard cleanup (mem2reg/fold/simplify/dce) on the
-    /// translated module. A budgeted caller turns this off and runs the
-    /// same fixpoint under its budget.
-    pub cleanup: bool,
-}
-
-impl Default for LowerOptions {
-    fn default() -> LowerOptions {
-        LowerOptions { cleanup: true }
-    }
-}
+/// Lowering errors are the IR crates' one error type.
+pub use mlir_lite::{Error, Result};
 
 /// Run the full pipeline: `hls.unroll_full` expansion, then
 /// affine → scf → cf → llvm-lite.
 ///
 /// The input module is consumed (lowering rewrites it stage by stage); the
-/// output is a verified LLVM module.
-pub fn lower_module(mut m: MlirModule, opts: &LowerOptions) -> Result<llvm_lite::Module> {
+/// output is a verified LLVM module, not yet cleaned up: a budgeted caller
+/// runs the cleanup fixpoint under its own budget.
+pub fn lower_module(mut m: MlirModule) -> Result<llvm_lite::Module> {
     mlir_lite::verifier::verify_module(&m)?;
     unroll::expand_full_unroll(&mut m)?;
     affine_to_scf::run(&mut m)?;
     scf_to_cf::run(&mut m)?;
-    let mut out = translate::translate(&m)?;
-    llvm_lite::verifier::verify_module(&out).map_err(|e| Error::Transform(e.to_string()))?;
-    if opts.cleanup {
-        llvm_lite::transforms::standard_cleanup()
-            .run_to_fixpoint(&mut out, 4)
-            .map_err(|e| Error::Transform(e.to_string()))?;
-    }
+    let out = translate::translate(&m)?;
+    llvm_lite::verifier::verify_module(&out)?;
     Ok(out)
 }
 
-/// Convenience: lower with defaults.
+/// [`lower_module`], then the llvm-lite standard cleanup
+/// (mem2reg/fold/simplify/dce) to a fixed point.
 pub fn lower(m: MlirModule) -> Result<llvm_lite::Module> {
-    lower_module(m, &LowerOptions::default())
+    let mut out = lower_module(m)?;
+    llvm_lite::transforms::standard_cleanup().run_to_fixpoint(&mut out, 4)?;
+    Ok(out)
 }
 
 #[cfg(test)]

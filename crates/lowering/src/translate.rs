@@ -628,7 +628,7 @@ mod tests {
 
     fn lower_no_cleanup(src: &str) -> Module {
         let m = parse_module("t", src).unwrap();
-        crate::lower_module(m, &crate::LowerOptions { cleanup: false }).unwrap()
+        crate::lower_module(m).unwrap()
     }
 
     #[test]

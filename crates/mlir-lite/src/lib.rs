@@ -25,49 +25,9 @@ pub use affine::{AffineExpr, AffineMap};
 pub use attr::Attr;
 pub use ir::{MBlock, MType, MValue, MValueKind, MlirModule, Op, Region};
 
-/// Errors for parsing/verification at the MLIR level.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Error {
-    /// Textual parse error with a 1-based line number.
-    Parse { line: u32, msg: String },
-    /// Structural verification failure.
-    Verify(String),
-    /// A lowering/transform precondition failed.
-    Transform(String),
-    /// A structured, located diagnostic from the pass/verifier layer.
-    Diag(pass_core::Diagnostic),
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Error::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
-            Error::Verify(m) => write!(f, "verification error: {m}"),
-            Error::Transform(m) => write!(f, "transform error: {m}"),
-            Error::Diag(d) => write!(f, "{d}"),
-        }
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<pass_core::Diagnostic> for Error {
-    fn from(d: pass_core::Diagnostic) -> Error {
-        Error::Diag(d)
-    }
-}
-
-impl From<Error> for pass_core::Diagnostic {
-    fn from(e: Error) -> pass_core::Diagnostic {
-        match e {
-            Error::Diag(d) => d,
-            other => pass_core::Diagnostic::error("mlir-lite", other.to_string()),
-        }
-    }
-}
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, Error>;
+/// Errors for parsing/verification at the MLIR level: the IR crates' one
+/// error type, shared with `llvm-lite` and the pass manager.
+pub use pass_core::{Error, Result};
 
 impl pass_core::PassIr for MlirModule {
     /// Total operation count (all nesting levels).

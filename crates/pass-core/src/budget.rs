@@ -18,23 +18,15 @@
 //!
 //! A [`Budget`] is built once per unit of work by [`Budget::from_limits`]
 //! (or [`Budget::unlimited`]). Trips travel typed: a pass manager returns
-//! one as a [`BUDGET_COMPONENT`] diagnostic, the flow definition
-//! (`fuzzing::flow`) reads it back once with [`BudgetError::from_diagnostic`]
-//! and hands its callers a typed trip to match on. The rendered grammar —
-//! `"{kind} budget exceeded in {stage}: {detail}"` — is stable display
-//! output; [`BudgetError::from_rendered`] parses it back out of text (the
-//! service's 408 body, tests).
+//! one as [`crate::Error::Budget`], and the flow definition
+//! (`fuzzing::flow`) hands its callers the same [`BudgetError`] to match
+//! on. The rendered grammar — `"{kind} budget exceeded in {stage}:
+//! {detail}"` — is display output only.
 
 use std::fmt;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crate::diag::Diagnostic;
-
-/// Diagnostic `pass` component used for budget trips crossing
-/// [`Diagnostic`]-typed boundaries (e.g. the adaptor pipeline).
-pub const BUDGET_COMPONENT: &str = "budget";
 
 /// Which budget resource was exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -89,38 +81,6 @@ impl BudgetError {
             stage: stage.to_string(),
             detail: detail.into(),
         }
-    }
-
-    /// Convert to a [`Diagnostic`] under the [`BUDGET_COMPONENT`] pass so
-    /// the trip survives `Diagnostic`-typed error channels.
-    pub fn to_diagnostic(&self) -> Diagnostic {
-        Diagnostic::error(BUDGET_COMPONENT, self.to_string())
-    }
-
-    /// Recover a budget trip from a diagnostic produced by
-    /// [`BudgetError::to_diagnostic`] (possibly re-attributed to another
-    /// pass by intermediate layers — only the message grammar matters).
-    pub fn from_diagnostic(d: &Diagnostic) -> Option<BudgetError> {
-        BudgetError::from_rendered(&d.message)
-    }
-
-    /// Scan any rendered error text for the stable grammar
-    /// `"{kind} budget exceeded in {stage}: {detail}"` and parse the trip
-    /// back out. Returns `None` when the text does not embed a budget trip.
-    pub fn from_rendered(text: &str) -> Option<BudgetError> {
-        const NEEDLE: &str = " budget exceeded in ";
-        let idx = text.find(NEEDLE)?;
-        let kind_word = text[..idx]
-            .rsplit(|c: char| c.is_whitespace() || c == '[' || c == ']' || c == ':')
-            .next()?;
-        let kind = BudgetKind::parse(kind_word)?;
-        let rest = &text[idx + NEEDLE.len()..];
-        let (stage, detail) = rest.split_once(": ")?;
-        Some(BudgetError {
-            kind,
-            stage: stage.to_string(),
-            detail: detail.to_string(),
-        })
     }
 }
 
@@ -292,23 +252,20 @@ mod tests {
     }
 
     #[test]
-    fn rendered_grammar_round_trips() {
+    fn rendered_grammar_is_pinned() {
         let e = BudgetError::new(
             BudgetKind::Fuel,
             "csynth/schedule",
             "pool empty (1 unit(s) requested)",
         );
-        assert_eq!(BudgetError::from_rendered(&e.to_string()).unwrap(), e);
-        // Survives diagnostic rendering and arbitrary prefixes.
-        let d = e.to_diagnostic();
-        assert_eq!(BudgetError::from_diagnostic(&d).unwrap(), e);
-        let wrapped = format!("llvm: {d}");
-        assert_eq!(BudgetError::from_rendered(&wrapped).unwrap(), e);
-        assert_eq!(BudgetError::from_rendered("no trip here"), None);
         assert_eq!(
-            BudgetError::from_rendered("weird budget exceeded in x: y"),
-            None,
-            "unknown kind word must not parse"
+            e.to_string(),
+            "fuel budget exceeded in csynth/schedule: pool empty (1 unit(s) requested)"
+        );
+        let late = BudgetError::new(BudgetKind::Deadline, "dce", "wall clock over by 97µs");
+        assert_eq!(
+            late.to_string(),
+            "deadline budget exceeded in dce: wall clock over by 97µs"
         );
     }
 }

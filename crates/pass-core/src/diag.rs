@@ -10,10 +10,8 @@
 //! error[verify-compat] @gemm:entry:%7: dynamic allocation is not synthesizable
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// How bad it is.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Informational note.
     Note,
@@ -36,7 +34,7 @@ impl std::fmt::Display for Severity {
 
 /// Where in the IR a diagnostic points. All components are optional;
 /// rendering includes whatever is known, in `@function:block:inst` order.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Loc {
     /// Enclosing function (symbol name, no sigil).
     pub function: Option<String>,
@@ -98,7 +96,7 @@ impl std::fmt::Display for Loc {
 }
 
 /// One structured diagnostic.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Severity class.
     pub severity: Severity,

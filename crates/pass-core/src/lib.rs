@@ -15,7 +15,9 @@
 //! * [`PipelineReport`] — a serializable `-time-passes`-style execution
 //!   report (JSON schema in EXPERIMENTS.md);
 //! * [`Diagnostic`] — structured, source-located errors shared by passes,
-//!   verifiers, and the HLS compat gate.
+//!   verifiers, and the HLS compat gate;
+//! * [`Error`] — the one error type of the IR crates, which a pipeline
+//!   returns: a failing pass's diagnostic or a typed budget trip.
 //!
 //! # Example: define an IR, a pass, and run an instrumented pipeline
 //!
@@ -67,6 +69,7 @@
 
 pub mod budget;
 pub mod diag;
+pub mod error;
 pub mod hist;
 pub mod json;
 pub mod registry;
@@ -74,6 +77,7 @@ pub mod report;
 
 pub use budget::{Budget, BudgetError, BudgetKind};
 pub use diag::{Diagnostic, Loc, Severity};
+pub use error::{Error, Result};
 pub use hist::Histogram;
 pub use registry::PassRegistry;
 pub use report::{PassRecord, PipelineReport};
@@ -159,7 +163,7 @@ impl<IR: PassIr> PassManager<IR> {
     }
 
     /// Run every pass once, in order.
-    pub fn run(&self, ir: &mut IR) -> PassResult<PipelineReport> {
+    pub fn run(&self, ir: &mut IR) -> Result<PipelineReport> {
         self.run_observed(ir, &mut |_, _| {})
     }
 
@@ -172,16 +176,14 @@ impl<IR: PassIr> PassManager<IR> {
         &self,
         ir: &mut IR,
         observer: &mut dyn FnMut(&IR, &PassRecord),
-    ) -> PassResult<PipelineReport> {
+    ) -> Result<PipelineReport> {
         self.run_observed_budgeted(ir, observer, &Budget::unlimited())
     }
 
     /// [`PassManager::run`] under a [`Budget`]: one fuel unit is charged
     /// per pass (before it runs), and the deadline is checked at the same
-    /// points. A trip surfaces as the [`budget::BUDGET_COMPONENT`]
-    /// diagnostic produced by [`BudgetError::to_diagnostic`];
-    /// [`BudgetError::from_diagnostic`] reads it back.
-    pub fn run_budgeted(&self, ir: &mut IR, budget: &Budget) -> PassResult<PipelineReport> {
+    /// points. A trip surfaces as [`Error::Budget`].
+    pub fn run_budgeted(&self, ir: &mut IR, budget: &Budget) -> Result<PipelineReport> {
         self.run_observed_budgeted(ir, &mut |_, _| {}, budget)
     }
 
@@ -191,7 +193,7 @@ impl<IR: PassIr> PassManager<IR> {
         ir: &mut IR,
         observer: &mut dyn FnMut(&IR, &PassRecord),
         budget: &Budget,
-    ) -> PassResult<PipelineReport> {
+    ) -> Result<PipelineReport> {
         let mut report = PipelineReport::new(&self.label);
         self.run_once(ir, &mut report, observer, budget)?;
         Ok(report)
@@ -203,12 +205,10 @@ impl<IR: PassIr> PassManager<IR> {
         report: &mut PipelineReport,
         observer: &mut dyn FnMut(&IR, &PassRecord),
         budget: &Budget,
-    ) -> PassResult<bool> {
+    ) -> Result<bool> {
         let mut any_changed = false;
         for pass in &self.passes {
-            budget
-                .charge(1, pass.name())
-                .map_err(|e| e.to_diagnostic())?;
+            budget.charge(1, pass.name())?;
             let size_before = ir.ir_size();
             let start = std::time::Instant::now();
             let changed = pass.run(ir).map_err(|d| d.in_pass(pass.name()))?;
@@ -239,7 +239,7 @@ impl<IR: PassIr> PassManager<IR> {
     /// Run the pipeline repeatedly until no pass reports a change, bounded
     /// by `max_iters`. The report accumulates records across iterations and
     /// its `iterations` field records how many sweeps ran.
-    pub fn run_to_fixpoint(&self, ir: &mut IR, max_iters: usize) -> PassResult<PipelineReport> {
+    pub fn run_to_fixpoint(&self, ir: &mut IR, max_iters: usize) -> Result<PipelineReport> {
         self.run_to_fixpoint_budgeted(ir, max_iters, &Budget::unlimited())
     }
 
@@ -253,14 +253,12 @@ impl<IR: PassIr> PassManager<IR> {
         ir: &mut IR,
         max_iters: usize,
         budget: &Budget,
-    ) -> PassResult<PipelineReport> {
+    ) -> Result<PipelineReport> {
         let mut report = PipelineReport::new(&self.label);
         report.iterations = 0;
         for iter in 0..max_iters {
             if iter > 0 {
-                budget
-                    .check(&format!("{}/fixpoint", self.label))
-                    .map_err(|e| e.to_diagnostic())?;
+                budget.check(&format!("{}/fixpoint", self.label))?;
             }
             report.iterations += 1;
             if !self.run_once(ir, &mut report, &mut |_, _| {}, budget)? {
@@ -403,7 +401,9 @@ mod tests {
         let mut pm = PassManager::new();
         pm.add(Poison);
         let mut ir = CountIr::default();
-        let err = pm.run(&mut ir).unwrap_err();
+        let Error::Diag(err) = pm.run(&mut ir).unwrap_err() else {
+            panic!("a broken IR is a located diagnostic");
+        };
         assert_eq!(err.pass, "poison");
         assert_eq!(err.loc.function.as_deref(), Some("f"));
         assert_eq!(err.loc.block.as_deref(), Some("entry"));
@@ -434,11 +434,12 @@ mod tests {
         let mut ir = CountIr::default();
         // 3 fuel units = 3 pass executions, tripping inside sweep 4.
         let budget = Budget::from_limits(None, Some(3));
-        let err = pm
+        let Error::Budget(trip) = pm
             .run_to_fixpoint_budgeted(&mut ir, 100, &budget)
-            .unwrap_err();
-        assert_eq!(err.pass, budget::BUDGET_COMPONENT);
-        let trip = BudgetError::from_diagnostic(&err).expect("parsable trip");
+            .unwrap_err()
+        else {
+            panic!("fuel exhaustion is a typed trip");
+        };
         assert_eq!(trip.kind, BudgetKind::Fuel);
         // Fuel hits zero after sweep 3, so the inter-iteration check trips.
         assert_eq!(trip.stage, "budgeted/fixpoint");
@@ -455,8 +456,9 @@ mod tests {
         let mut ir = CountIr::default();
         let budget = Budget::from_limits(Some(0), None);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let err = pm.run_budgeted(&mut ir, &budget).unwrap_err();
-        let trip = BudgetError::from_diagnostic(&err).expect("parsable trip");
+        let Error::Budget(trip) = pm.run_budgeted(&mut ir, &budget).unwrap_err() else {
+            panic!("an expired deadline is a typed trip");
+        };
         assert_eq!(trip.kind, BudgetKind::Deadline);
         assert_eq!(ir.count, 0, "no pass may run past the deadline");
     }

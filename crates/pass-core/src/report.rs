@@ -5,10 +5,8 @@
 //! an aligned text table and serialize to JSON (hand-rolled emitter — the
 //! schema is documented in EXPERIMENTS.md).
 
-use serde::{Deserialize, Serialize};
-
 /// One executed pass or pipeline stage.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PassRecord {
     /// Pass/stage name (nested stages use `outer/inner`).
     pub pass: String,
@@ -34,7 +32,7 @@ impl PassRecord {
 }
 
 /// Execution report for one pipeline run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineReport {
     /// Pipeline label (e.g. `hls-adaptor`, `standard-cleanup`).
     pub label: String,

@@ -528,9 +528,12 @@ entry:
             Err(CsynthError::Budget(e)) => {
                 assert_eq!(e.kind, pass_core::BudgetKind::Fuel);
                 assert!(e.stage.starts_with("csynth/"), "{}", e.stage);
-                // Rendered form round-trips for stringly consumers.
+                // The error renders as the trip's own grammar.
                 let rendered = CsynthError::Budget(e.clone()).to_string();
-                assert_eq!(BudgetError::from_rendered(&rendered).unwrap(), e);
+                assert_eq!(
+                    rendered,
+                    format!("fuel budget exceeded in {}: {}", e.stage, e.detail)
+                );
             }
             other => panic!("expected budget trip, got {other:?}"),
         }

@@ -1,9 +1,7 @@
 //! `csynth`-style synthesis reports.
 
-use serde::{Deserialize, Serialize};
-
 /// FPGA resource usage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Resources {
     /// DSP slices.
     pub dsp: u32,
@@ -49,7 +47,7 @@ impl Resources {
 }
 
 /// Per-loop synthesis results, matching the loop table of a csynth report.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoopReport {
     /// Loop label (derived from the header block name).
     pub name: String,
@@ -72,7 +70,7 @@ pub struct LoopReport {
 }
 
 /// The top-level synthesis report.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsynthReport {
     /// Top function name.
     pub top: String,

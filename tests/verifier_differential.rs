@@ -102,8 +102,7 @@ fn snapshots(mlir: &MlirModule, name: &str, tally: &mut Tally) -> Vec<(String, M
         }
     }
     let mut out = Vec::new();
-    let opts = lowering::LowerOptions { cleanup: false };
-    let mut m = lowering::lower_module(mlir.deep_clone(), &opts).expect("lower");
+    let mut m = lowering::lower_module(mlir.deep_clone()).expect("lower");
     out.push(("translate".to_string(), m.clone()));
     cleanup(&mut m, "lower-cleanup", &mut out, tally);
     let registry = adaptor::pipeline::registry();
