@@ -482,12 +482,19 @@ impl BatchSummary {
     }
 
     fn artifact_json_fields(a: &KernelArtifacts) -> String {
+        // A NaN on one side only is an infinite error, which JSON has no
+        // number for: it is written as `null`.
+        let cosim_max_err = if a.cosim_max_err.is_finite() {
+            a.cosim_max_err.to_string()
+        } else {
+            "null".to_string()
+        };
         format!(
             "\"module_digest\":{},\"latency\":{},\"interval\":{},\"cosim_max_err\":{},\"cosim_steps\":{},\"cache_hits\":{},\"cache_misses\":{},\"report\":{}",
             json_str(&a.module_digest),
             a.csynth.latency,
             a.csynth.interval,
-            a.cosim_max_err,
+            cosim_max_err,
             a.cosim_steps,
             a.cache_hits,
             a.cache_misses,
@@ -880,8 +887,11 @@ fn run_pipeline(
         ),
     };
     let flow_key = flow_key.text("config", &config).finish();
-    let module_text = match ctx.cached(name, "flow", &flow_key, Ok, &mut report, &mut hits) {
-        Some(text) => text,
+    // After a miss, csynth and cosim run on the module the flow built; the
+    // text is printed for the flow cache, the digest and the stage keys.
+    let cached_text = ctx.cached(name, "flow", &flow_key, Ok, &mut report, &mut hits);
+    let (module_text, built) = match cached_text {
+        Some(text) => (text, None),
         None => {
             misses += 1;
             let m =
@@ -893,15 +903,16 @@ fn run_pipeline(
             report.extend_prefixed("flow", &art.report);
             let text = llvm_lite::printer::print_module(&art.module);
             ctx.keep(name, "flow", &flow_key, &text);
-            text
+            (text, Some(art.module))
         }
     };
     let module_digest = format!("{:016x}", kernels::fnv1a64(module_text.as_bytes()));
 
     // Stages 2 and 3 key on the module *text*: any IR change reflows them,
-    // any directive change already changed the text. The module is only
-    // re-parsed when at least one of them actually has to run. Raw MLIR
-    // has no reference implementation to co-simulate against.
+    // any directive change already changed the text. After a flow-cache
+    // hit the text is parsed only when at least one of them actually has
+    // to run. Raw MLIR has no reference implementation to co-simulate
+    // against.
     let csynth_key = KeyBuilder::new("csynth")
         .text("module", &module_text)
         .text("target", &target_repr(&opts.target))
@@ -938,10 +949,12 @@ fn run_pipeline(
         None => None,
     };
 
-    let module = if cached_csynth.is_none() || (cosim_key.is_some() && cached_cosim.is_none()) {
-        Some(llvm_lite::parser::parse_module(name, &module_text).map_err(|e| fault("parse", e))?)
-    } else {
-        None
+    let needed = cached_csynth.is_none() || (cosim_key.is_some() && cached_cosim.is_none());
+    let module = match built {
+        None if needed => Some(
+            llvm_lite::parser::parse_module(name, &module_text).map_err(|e| fault("parse", e))?,
+        ),
+        built => built,
     };
 
     let csynth_report = match cached_csynth {
@@ -1280,6 +1293,25 @@ mod tests {
                 other => panic!("{}: {other:?}", r.kernel),
             }
         }
+    }
+
+    #[test]
+    fn an_infinite_cosim_error_is_written_as_null() {
+        let ks = [*kernels::kernel("fir").unwrap()];
+        let mut s = run_batch(&ks, &no_cache_opts()).unwrap();
+        let field = |s: &BatchSummary| {
+            let v = json::parse(&s.to_json()).expect("the summary is JSON");
+            v.get("kernels").and_then(|k| k.as_arr()).unwrap()[0]
+                .get("cosim_max_err")
+                .cloned()
+        };
+        assert_eq!(field(&s), Some(json::JsonValue::Num(0.0)));
+        // What cosim reports for a module that writes NaN into an output.
+        match &mut s.runs[0].outcome {
+            RunOutcome::Completed(a) => a.cosim_max_err = f32::INFINITY,
+            other => panic!("fir: {other:?}"),
+        }
+        assert_eq!(field(&s), Some(json::JsonValue::Null));
     }
 
     #[test]

@@ -18,10 +18,38 @@
 //!   pairs per phi, evaluated in parallel on block entry;
 //! * per-op facts are computed once: GEP strides, load/store scalar
 //!   kinds, zext source widths, result widths and callee resolution
-//!   (intrinsic, defined function, declaration or unknown name).
+//!   (intrinsic, defined function, declaration or unknown name);
+//! * the ops a kernel runs most get variants of their own: `add`, `mul`,
+//!   `fadd`, `fmul`, `f32` loads and stores, an `icmp` fused into the
+//!   `condbr` that tests it, and GEPs whose constant indices fold into one
+//!   byte offset. A GEP folds only when no partial sum of its offset can
+//!   saturate (constant terms and the folded offset within `i32`, at most
+//!   two variable indices, each with a stride within `u32`), so it
+//!   computes exactly what the step-by-step form computes.
 //!
 //! Integers are stored sign-extended in an `i128`; a result of type `iN`
 //! wraps by sign-extending its low `N` bits (`i0` wraps to -1).
+//!
+//! # Steps
+//!
+//! Every non-phi instruction that runs is one step of
+//! [`InterpStats::steps`]; an op that stands for two instructions, such as
+//! a compare fused into its branch, is two. A block is charged its whole
+//! cost on entry (its ops, plus its terminator unless it falls through or
+//! traps on arrival), and a trap inside it takes back the steps it did not
+//! reach. A block counts step by step instead when the step limit lands
+//! inside it, or when it calls a defined function, whose steps fall
+//! between its own; so the count, and the step at which `step limit
+//! exceeded` fires, are those of counting every instruction as it runs.
+//!
+//! # NaN results
+//!
+//! A NaN's sign and payload bits depend on the host's instruction set
+//! (x86 and ARM disagree on `0/0`, and on x86 the operand order of
+//! `NaN + -NaN` picks the sign). So every NaN that `fadd`, `fsub`, `fmul`,
+//! `fdiv`, `frem` or the `sqrt`, `exp`, `maxnum` and `minnum` intrinsics
+//! produce is the canonical quiet NaN, `0x7ff8000000000000` (`0x7fc00000`
+//! once stored as `f32`), and buffers hold the same bits on every host.
 //!
 //! # Pointers
 //!
@@ -78,30 +106,63 @@ pub enum RtVal {
 
 impl RtVal {
     #[inline]
-    fn as_i(self) -> Result<i128> {
+    fn as_i(self) -> Run<i128> {
         match self {
             RtVal::I(v) => Ok(v),
-            other => Err(Error::Interp(format!("expected integer, got {other:?}"))),
+            other => Err(mismatch("integer", other)),
         }
     }
     #[inline]
-    fn as_f(self) -> Result<f64> {
+    fn as_f(self) -> Run<f64> {
         match self {
             RtVal::F(v) => Ok(v),
-            other => Err(Error::Interp(format!("expected float, got {other:?}"))),
+            other => Err(mismatch("float", other)),
         }
     }
     #[inline]
-    fn as_p(self) -> Result<u64> {
+    fn as_p(self) -> Run<u64> {
         match self {
             RtVal::P(v) => Ok(v),
-            other => Err(Error::Interp(format!("expected pointer, got {other:?}"))),
+            other => Err(mismatch("pointer", other)),
         }
     }
 }
 
-fn trap(msg: impl Into<String>) -> Error {
-    Error::Interp(msg.into())
+/// A trap on its way out of the interpreter: an [`Error::Interp`] behind
+/// one pointer, so the [`Run`] that every operand read and every op
+/// returns stays small. The public API unboxes it.
+struct Trap(Box<Error>);
+
+/// The result of a fallible step inside the interpreter.
+type Run<T> = std::result::Result<T, Trap>;
+
+impl From<Trap> for Error {
+    fn from(t: Trap) -> Error {
+        *t.0
+    }
+}
+
+#[cold]
+fn trap(msg: impl Into<String>) -> Trap {
+    Trap(Box::new(Error::Interp(msg.into())))
+}
+
+#[cold]
+fn mismatch(want: &str, got: RtVal) -> Trap {
+    trap(format!("expected {want}, got {got:?}"))
+}
+
+/// The canonical quiet NaN every NaN result becomes.
+const CANONICAL_NAN: f64 = f64::from_bits(0x7ff8_0000_0000_0000);
+
+/// `v`, with any NaN replaced by [`CANONICAL_NAN`].
+#[inline]
+fn canonical(v: f64) -> f64 {
+    if v.is_nan() {
+        CANONICAL_NAN
+    } else {
+        v
+    }
 }
 
 /// The offset bits of an encoded pointer.
@@ -112,6 +173,7 @@ const ESCAPED: u64 = 0xFFFF_FFFF << 32;
 
 /// `ptr` moved by `delta` bytes, or an escaped pointer when the result
 /// leaves the 32-bit offset field.
+#[inline]
 fn offset_ptr(ptr: u64, delta: i128) -> u64 {
     let off = ((ptr & OFFSET_MASK) as i128).saturating_add(delta);
     if (0..=OFFSET_MASK as i128).contains(&off) {
@@ -126,6 +188,8 @@ fn offset_ptr(ptr: u64, delta: i128) -> u64 {
 #[inline]
 fn wrap(v: i128, width: u32) -> i128 {
     match width {
+        64 => v as i64 as i128,
+        32 => v as i32 as i128,
         0 => -1,
         1..=127 => {
             let s = 128 - width;
@@ -179,10 +243,10 @@ impl Memory {
     /// `size` exceeds the 4 GiB a pointer's offset field can address.
     pub fn alloc(&mut self, size: u64) -> u64 {
         self.try_alloc("buffer", size)
-            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or_else(|t| panic!("{}", Error::from(t)))
     }
 
-    fn try_alloc(&mut self, what: &str, size: u64) -> Result<u64> {
+    fn try_alloc(&mut self, what: &str, size: u64) -> Run<u64> {
         if size > MAX_BUFFER {
             return Err(trap(format!(
                 "{what} of {size} bytes exceeds the 4 GiB a pointer can address"
@@ -195,84 +259,94 @@ impl Memory {
         Ok((self.buffers.len() as u64) << 32)
     }
 
-    /// The buffer a pointer points into, and the checked byte range of a
-    /// `len`-byte access.
-    fn locate(&self, ptr: u64, len: u64) -> Result<(usize, usize, usize)> {
+    /// The buffer index and byte range of a `len`-byte access at `ptr`,
+    /// when it lies inside a buffer.
+    #[inline]
+    fn span(&self, ptr: u64, len: u64) -> Option<(usize, usize, usize)> {
+        let id = ((ptr >> 32) as usize).checked_sub(1)?;
+        let off = (ptr & OFFSET_MASK) as usize;
+        let end = off.checked_add(len as usize)?;
+        (end <= self.buffers.get(id)?.len()).then_some((id, off, end))
+    }
+
+    /// Why a `len`-byte access at `ptr` has no [`span`](Self::span).
+    #[cold]
+    fn fault(&self, ptr: u64, len: u64) -> Trap {
         let id = (ptr >> 32) as usize;
         let off = (ptr & OFFSET_MASK) as usize;
         if id == 0 {
-            return Err(trap("null pointer dereference"));
+            return trap("null pointer dereference");
         }
-        let buf = self
-            .buffers
-            .get(id - 1)
-            .ok_or_else(|| trap(format!("wild pointer {ptr:#x}")))?;
-        let end = off
-            .checked_add(len as usize)
-            .ok_or_else(|| trap("pointer overflow"))?;
-        if end > buf.len() {
-            return Err(trap(format!(
-                "out-of-bounds access at offset {off}+{len} in buffer of {} bytes",
-                buf.len()
-            )));
+        let Some(buf) = self.buffers.get(id - 1) else {
+            return trap(format!("wild pointer {ptr:#x}"));
+        };
+        if off.checked_add(len as usize).is_none() {
+            return trap("pointer overflow");
         }
-        Ok((id - 1, off, end))
+        trap(format!(
+            "out-of-bounds access at offset {off}+{len} in buffer of {} bytes",
+            buf.len()
+        ))
     }
 
-    fn slice_mut(&mut self, ptr: u64, len: u64) -> Result<&mut [u8]> {
-        let (id, off, end) = self.locate(ptr, len)?;
-        Ok(&mut self.buffers[id][off..end])
+    #[inline]
+    fn slice_mut(&mut self, ptr: u64, len: u64) -> Run<&mut [u8]> {
+        match self.span(ptr, len) {
+            Some((id, off, end)) => Ok(&mut self.buffers[id][off..end]),
+            None => Err(self.fault(ptr, len)),
+        }
     }
 
-    fn slice(&self, ptr: u64, len: u64) -> Result<&[u8]> {
-        let (id, off, end) = self.locate(ptr, len)?;
-        Ok(&self.buffers[id][off..end])
+    #[inline]
+    fn slice(&self, ptr: u64, len: u64) -> Run<&[u8]> {
+        match self.span(ptr, len) {
+            Some((id, off, end)) => Ok(&self.buffers[id][off..end]),
+            None => Err(self.fault(ptr, len)),
+        }
     }
 
-    fn array<const N: usize>(&self, ptr: u64) -> Result<[u8; N]> {
+    #[inline]
+    fn array<const N: usize>(&self, ptr: u64) -> Run<[u8; N]> {
         Ok(self.slice(ptr, N as u64)?.try_into().expect("N-byte slice"))
+    }
+
+    #[inline]
+    fn put<const N: usize>(&mut self, ptr: u64, bytes: [u8; N]) -> Run<()> {
+        self.slice_mut(ptr, N as u64)?.copy_from_slice(&bytes);
+        Ok(())
     }
 
     /// Typed store.
     pub fn store(&mut self, ptr: u64, ty: &Type, v: RtVal) -> Result<()> {
         match Scalar::of(ty) {
-            Some(kind) => self.store_scalar(ptr, kind, v),
-            None => Err(trap(format!("cannot store type {ty}"))),
+            Some(kind) => Ok(self.store_scalar(ptr, kind, v)?),
+            None => Err(Error::Interp(format!("cannot store type {ty}"))),
         }
     }
 
-    fn store_scalar(&mut self, ptr: u64, kind: Scalar, v: RtVal) -> Result<()> {
+    fn store_scalar(&mut self, ptr: u64, kind: Scalar, v: RtVal) -> Run<()> {
         match kind {
             Scalar::Int { bytes, .. } => {
                 let raw = (v.as_i()? as u128).to_le_bytes();
                 let n = bytes as usize;
                 self.slice_mut(ptr, n as u64)?.copy_from_slice(&raw[..n]);
+                Ok(())
             }
-            Scalar::F32 => {
-                let bits = (v.as_f()? as f32).to_bits();
-                self.slice_mut(ptr, 4)?.copy_from_slice(&bits.to_le_bytes());
-            }
-            Scalar::F64 => {
-                let bits = v.as_f()?.to_bits();
-                self.slice_mut(ptr, 8)?.copy_from_slice(&bits.to_le_bytes());
-            }
-            Scalar::Ptr => {
-                let raw = v.as_p()?;
-                self.slice_mut(ptr, 8)?.copy_from_slice(&raw.to_le_bytes());
-            }
+            Scalar::F32 => self.put(ptr, (v.as_f()? as f32).to_le_bytes()),
+            Scalar::F64 => self.put(ptr, v.as_f()?.to_le_bytes()),
+            Scalar::Ptr => self.put(ptr, v.as_p()?.to_le_bytes()),
         }
-        Ok(())
     }
 
     /// Typed load.
     pub fn load(&self, ptr: u64, ty: &Type) -> Result<RtVal> {
         match Scalar::of(ty) {
-            Some(kind) => self.load_scalar(ptr, kind),
-            None => Err(trap(format!("cannot load type {ty}"))),
+            Some(kind) => Ok(self.load_scalar(ptr, kind)?),
+            None => Err(Error::Interp(format!("cannot load type {ty}"))),
         }
     }
 
-    fn load_scalar(&self, ptr: u64, kind: Scalar) -> Result<RtVal> {
+    fn load_scalar(&self, ptr: u64, kind: Scalar) -> Run<RtVal> {
         Ok(match kind {
             Scalar::Int { bytes, shift } => {
                 let n = bytes as usize;
@@ -336,6 +410,9 @@ pub struct InterpStats {
 /// Index of a value in a call frame.
 type Slot = u32;
 
+/// The decoder's mark for an instruction without a slot yet.
+const NO_SLOT: Slot = Slot::MAX;
+
 /// A function, decoded for execution.
 struct Code {
     name: String,
@@ -365,6 +442,12 @@ struct Block {
     phis: Box<[Phi]>,
     ops: Box<[Op]>,
     term: Term,
+    /// Steps a full run of the block takes: its ops, plus the terminator
+    /// unless it falls through or traps on arrival.
+    cost: u64,
+    /// The block calls a defined function, whose steps interleave with
+    /// its own, so it counts step by step.
+    calls: bool,
 }
 
 /// A leading phi: its result slot and one `(predecessor, source)` pair per
@@ -376,8 +459,20 @@ struct Phi {
 }
 
 enum Op {
-    /// Integer binop (`op` is one of the integer binop opcodes); the
-    /// result wraps to `width` bits.
+    Add {
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        width: u32,
+    },
+    Mul {
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        width: u32,
+    },
+    /// Any other integer binop (`op` is one of the integer binop
+    /// opcodes); the result wraps to `width` bits.
     Int {
         op: Opcode,
         a: Slot,
@@ -385,7 +480,20 @@ enum Op {
         dst: Slot,
         width: u32,
     },
-    /// Float binop; `single` rounds the result to `f32`.
+    /// `fadd`; `single` rounds the result to `f32`.
+    FAdd {
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        single: bool,
+    },
+    FMul {
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        single: bool,
+    },
+    /// `fsub`, `fdiv` or `frem`.
     Float {
         op: Opcode,
         a: Slot,
@@ -409,6 +517,10 @@ enum Op {
         b: Slot,
         dst: Slot,
     },
+    LoadF32 {
+        ptr: Slot,
+        dst: Slot,
+    },
     Load {
         ptr: Slot,
         dst: Slot,
@@ -418,6 +530,10 @@ enum Op {
     BadLoad {
         ptr: Slot,
         ty: Box<str>,
+    },
+    StoreF32 {
+        val: Slot,
+        ptr: Slot,
     },
     Store {
         val: Slot,
@@ -430,6 +546,31 @@ enum Op {
         ptr: Slot,
         ty: Box<str>,
     },
+    /// A GEP whose every index is a constant: `base + offset`.
+    Gep0 {
+        base: Slot,
+        dst: Slot,
+        offset: i32,
+    },
+    /// `base + offset + i·si`, the other indices folded into `offset`.
+    Gep1 {
+        base: Slot,
+        dst: Slot,
+        i: Slot,
+        si: u32,
+        offset: i32,
+    },
+    /// `base + offset + i·si + j·sj`.
+    Gep2 {
+        base: Slot,
+        dst: Slot,
+        i: Slot,
+        j: Slot,
+        si: u32,
+        sj: u32,
+        offset: i32,
+    },
+    /// Any other GEP, one step per index.
     Gep {
         base: Slot,
         dst: Slot,
@@ -572,6 +713,16 @@ enum Term {
         t: BlockId,
         f: BlockId,
     },
+    /// An `icmp` and the `condbr` right after it that tests its result:
+    /// two steps in one dispatch. The compare still writes its slot.
+    CmpBr {
+        pred: IntPred,
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        t: BlockId,
+        f: BlockId,
+    },
     Ret(Option<Slot>),
     Unreachable,
     /// The block ends without a terminator: execution re-enters it from
@@ -580,6 +731,17 @@ enum Term {
     /// A malformed terminator, or no terminator and nothing to execute
     /// (re-entering would spin): traps on arrival.
     Trap(Box<str>),
+}
+
+impl Term {
+    /// The steps the terminator takes.
+    fn steps(&self) -> u64 {
+        match self {
+            Term::FallThrough | Term::Trap(_) => 0,
+            Term::CmpBr { .. } => 2,
+            _ => 1,
+        }
+    }
 }
 
 /// Resolve a callee name the way a call does: intrinsics first, then the
@@ -601,8 +763,9 @@ struct Decoder<'a> {
     globals: &'a HashMap<String, u64>,
     frame: Vec<Option<RtVal>>,
     slots: Vec<SlotKind>,
-    /// The slot an `Inst` operand reads.
-    insts: HashMap<InstId, Slot>,
+    /// The slot an `Inst` operand reads, by arena index; [`NO_SLOT`] until
+    /// the first use. Ids past the arena go through `missing`.
+    insts: Vec<Slot>,
     /// Slots of arguments past the parameter list and of unknown globals.
     missing: HashMap<String, Slot>,
     discard: Slot,
@@ -615,7 +778,7 @@ fn decode(module: &Module, f: &Function, globals: &HashMap<String, u64>) -> Code
         globals,
         frame: vec![None; f.params.len()],
         slots: (0..f.params.len() as u32).map(SlotKind::Arg).collect(),
-        insts: HashMap::new(),
+        insts: vec![NO_SLOT; f.insts.len()],
         missing: HashMap::new(),
         discard: 0,
     };
@@ -642,12 +805,15 @@ impl<'a> Decoder<'a> {
     }
 
     fn inst_slot(&mut self, id: InstId) -> Slot {
-        if let Some(&s) = self.insts.get(&id) {
-            return s;
+        match self.insts.get(id as usize) {
+            Some(&s) if s != NO_SLOT => s,
+            Some(_) => {
+                let s = self.slot(None, SlotKind::Inst(id));
+                self.insts[id as usize] = s;
+                s
+            }
+            None => self.missing(format!("#{id}"), SlotKind::Inst(id)),
         }
-        let s = self.slot(None, SlotKind::Inst(id));
-        self.insts.insert(id, s);
-        s
     }
 
     fn constant(&mut self, v: RtVal) -> Slot {
@@ -734,12 +900,16 @@ impl<'a> Decoder<'a> {
         let phis = ids[..lead].iter().map(|&id| self.phi(id)).collect();
         let mut ops = Vec::new();
         let mut term = None;
+        // A phi after a non-phi: in the entry block, its position must
+        // stay an op index, so nothing fuses.
+        let mut late_phi = false;
         for &id in &ids[lead..] {
             let Some(inst) = self.inst(id) else {
                 ops.push(Op::Trap(malformed(id, f).into()));
                 continue;
             };
             if inst.opcode == Opcode::Phi {
+                late_phi = true;
                 continue;
             }
             if inst.is_terminator() {
@@ -748,16 +918,34 @@ impl<'a> Decoder<'a> {
             }
             ops.push(self.op(id, inst));
         }
-        let term = term.unwrap_or_else(|| {
-            if ops.is_empty() {
+        let term = match (term, ops.last()) {
+            (Some(Term::CondBr { cond, t, f }), Some(&Op::ICmp { pred, a, b, dst }))
+                if dst == cond && !late_phi =>
+            {
+                ops.pop();
+                Term::CmpBr {
+                    pred,
+                    a,
+                    b,
+                    dst,
+                    t,
+                    f,
+                }
+            }
+            (Some(term), _) => term,
+            (None, _) if ops.is_empty() => {
                 let label = &f.blocks[b as usize].name;
                 Term::Trap(format!("block {label} of @{} has no terminator", f.name).into())
-            } else {
-                Term::FallThrough
             }
-        });
+            (None, _) => Term::FallThrough,
+        };
+        let calls = ops.iter().any(
+            |op| matches!(op, Op::Call { site, .. } if matches!(site.callee, Callee::Defined(_))),
+        );
         Block {
             phis,
+            cost: ops.len() as u64 + term.steps(),
+            calls,
             ops: ops.into(),
             term,
         }
@@ -807,20 +995,35 @@ impl<'a> Decoder<'a> {
         let ops = &inst.operands;
         let single = inst.ty == Type::Float;
         match (inst.opcode, &inst.data) {
-            (op, _) if op.is_int_binop() && n >= 2 => Op::Int {
-                op,
-                a: self.src(&ops[0]),
-                b: self.src(&ops[1]),
-                dst,
-                width: inst.ty.int_width().unwrap_or(64),
-            },
-            (op, _) if op.is_float_binop() && n >= 2 => Op::Float {
-                op,
-                a: self.src(&ops[0]),
-                b: self.src(&ops[1]),
-                dst,
-                single,
-            },
+            (op, _) if op.is_int_binop() && n >= 2 => {
+                let (a, b) = (self.src(&ops[0]), self.src(&ops[1]));
+                let width = inst.ty.int_width().unwrap_or(64);
+                match op {
+                    Opcode::Add => Op::Add { a, b, dst, width },
+                    Opcode::Mul => Op::Mul { a, b, dst, width },
+                    _ => Op::Int {
+                        op,
+                        a,
+                        b,
+                        dst,
+                        width,
+                    },
+                }
+            }
+            (op, _) if op.is_float_binop() && n >= 2 => {
+                let (a, b) = (self.src(&ops[0]), self.src(&ops[1]));
+                match op {
+                    Opcode::FAdd => Op::FAdd { a, b, dst, single },
+                    Opcode::FMul => Op::FMul { a, b, dst, single },
+                    _ => Op::Float {
+                        op,
+                        a,
+                        b,
+                        dst,
+                        single,
+                    },
+                }
+            }
             (Opcode::ICmp, InstData::ICmp(pred)) if n >= 2 => Op::ICmp {
                 pred: *pred,
                 a: self.src(&ops[0]),
@@ -836,6 +1039,7 @@ impl<'a> Decoder<'a> {
             (Opcode::Load, _) if n >= 1 => {
                 let ptr = self.src(&ops[0]);
                 match Scalar::of(&inst.ty) {
+                    Some(Scalar::F32) => Op::LoadF32 { ptr, dst },
                     Some(kind) => Op::Load { ptr, dst, kind },
                     None => Op::BadLoad {
                         ptr,
@@ -847,6 +1051,7 @@ impl<'a> Decoder<'a> {
                 let (val, ptr) = (self.src(&ops[0]), self.src(&ops[1]));
                 let ty = self.type_of(&ops[0]);
                 match Scalar::of(&ty) {
+                    Some(Scalar::F32) => Op::StoreF32 { val, ptr },
                     Some(kind) => Op::Store { val, ptr, kind },
                     None => Op::BadStore {
                         val,
@@ -872,11 +1077,7 @@ impl<'a> Decoder<'a> {
                     }
                     steps.push(GepStep::Scale(idx, ty.size_in_bytes()));
                 }
-                Op::Gep {
-                    base,
-                    dst,
-                    steps: steps.into(),
-                }
+                self.fold_gep(base, dst, steps)
             }
             (Opcode::Alloca, InstData::Alloca { allocated, .. }) => Op::Alloca {
                 dst,
@@ -925,6 +1126,64 @@ impl<'a> Decoder<'a> {
             _ => Op::Trap(malformed(id, self.f).into()),
         }
     }
+
+    /// A GEP with its integer-constant indices folded into one byte
+    /// offset, when no partial sum of the step-by-step form can saturate:
+    /// each constant term and the folded offset fit in `i32`, and at most
+    /// two variable indices remain, each with a stride that fits in `u32`.
+    /// Their terms are then below 2^95 in magnitude, so every sum is exact
+    /// in `i128` in any order. Otherwise the GEP keeps its steps.
+    fn fold_gep(&self, base: Slot, dst: Slot, steps: Vec<GepStep>) -> Op {
+        match self
+            .affine(&steps)
+            .as_ref()
+            .map(|(o, vars)| (*o, &vars[..]))
+        {
+            Some((offset, [])) => Op::Gep0 { base, dst, offset },
+            Some((offset, &[(i, si)])) => Op::Gep1 {
+                base,
+                dst,
+                i,
+                si,
+                offset,
+            },
+            Some((offset, &[(i, si), (j, sj)])) => Op::Gep2 {
+                base,
+                dst,
+                i,
+                j,
+                si,
+                sj,
+                offset,
+            },
+            _ => Op::Gep {
+                base,
+                dst,
+                steps: steps.into(),
+            },
+        }
+    }
+
+    /// The folded constant offset and the `(index, stride)` variable terms
+    /// of a GEP's steps, or `None` when a term is out of the ranges
+    /// [`fold_gep`](Self::fold_gep) needs.
+    fn affine(&self, steps: &[GepStep]) -> Option<(i32, Vec<(Slot, u32)>)> {
+        let mut offset: i32 = 0;
+        let mut vars = Vec::new();
+        for step in steps {
+            let &GepStep::Scale(idx, stride) = step else {
+                return None;
+            };
+            match self.frame[idx as usize] {
+                Some(RtVal::I(c)) if matches!(self.slots[idx as usize], SlotKind::Const) => {
+                    let term = i128::from(c as i64) * i128::from(stride);
+                    offset = offset.checked_add(i32::try_from(term).ok()?)?;
+                }
+                _ => vars.push((idx, u32::try_from(stride).ok()?)),
+            }
+        }
+        Some((offset, vars))
+    }
 }
 
 fn malformed(id: InstId, f: &Function) -> String {
@@ -932,16 +1191,49 @@ fn malformed(id: InstId, f: &Function) -> String {
 }
 
 impl Code {
-    #[inline]
-    fn read(&self, frame: &[Option<RtVal>], s: Slot) -> Result<RtVal> {
+    #[inline(always)]
+    fn read(&self, frame: &[Option<RtVal>], s: Slot) -> Run<RtVal> {
         match frame[s as usize] {
             Some(v) => Ok(v),
             None => Err(self.unset(s)),
         }
     }
 
+    #[inline(always)]
+    fn int(&self, frame: &[Option<RtVal>], s: Slot) -> Run<i128> {
+        match frame[s as usize] {
+            Some(RtVal::I(v)) => Ok(v),
+            other => Err(self.wrong(s, other, "integer")),
+        }
+    }
+
+    #[inline(always)]
+    fn float(&self, frame: &[Option<RtVal>], s: Slot) -> Run<f64> {
+        match frame[s as usize] {
+            Some(RtVal::F(v)) => Ok(v),
+            other => Err(self.wrong(s, other, "float")),
+        }
+    }
+
+    #[inline(always)]
+    fn ptr(&self, frame: &[Option<RtVal>], s: Slot) -> Run<u64> {
+        match frame[s as usize] {
+            Some(RtVal::P(v)) => Ok(v),
+            other => Err(self.wrong(s, other, "pointer")),
+        }
+    }
+
+    /// The trap of reading `v` from slot `s` where a `want` was expected.
     #[cold]
-    fn unset(&self, s: Slot) -> Error {
+    fn wrong(&self, s: Slot, v: Option<RtVal>, want: &str) -> Trap {
+        match v {
+            Some(v) => mismatch(want, v),
+            None => self.unset(s),
+        }
+    }
+
+    #[cold]
+    fn unset(&self, s: Slot) -> Trap {
         trap(match &self.slots[s as usize] {
             SlotKind::Global(name) => format!("unknown global @{name}"),
             SlotKind::Inst(id) => format!("read of unset %{id} in @{}", self.name),
@@ -1007,7 +1299,7 @@ impl<'m> Interpreter<'m> {
         };
         let result = exec.invoke(callee, name, args);
         self.stats = exec.stats;
-        result
+        Ok(result?)
     }
 }
 
@@ -1026,7 +1318,7 @@ struct Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    fn invoke(&mut self, callee: Callee, name: &str, args: &[RtVal]) -> Result<RtVal> {
+    fn invoke(&mut self, callee: Callee, name: &str, args: &[RtVal]) -> Run<RtVal> {
         self.stats.calls += 1;
         match callee {
             Callee::Intrinsic(k) => self.intrinsic(k, name, args),
@@ -1047,7 +1339,7 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn intrinsic(&mut self, k: Intrinsic, name: &str, args: &[RtVal]) -> Result<RtVal> {
+    fn intrinsic(&mut self, k: Intrinsic, name: &str, args: &[RtVal]) -> Run<RtVal> {
         if args.len() < k.arity() {
             return Err(trap(format!(
                 "@{name} called with {} args, expects {}",
@@ -1056,13 +1348,13 @@ impl<'a> Exec<'a> {
             )));
         }
         Ok(match k {
-            Intrinsic::Sqrt => RtVal::F(args[0].as_f()?.sqrt()),
+            Intrinsic::Sqrt => RtVal::F(canonical(args[0].as_f()?.sqrt())),
             Intrinsic::Fabs => RtVal::F(args[0].as_f()?.abs()),
-            Intrinsic::Exp => RtVal::F(args[0].as_f()?.exp()),
+            Intrinsic::Exp => RtVal::F(canonical(args[0].as_f()?.exp())),
             Intrinsic::SMax => RtVal::I(args[0].as_i()?.max(args[1].as_i()?)),
             Intrinsic::SMin => RtVal::I(args[0].as_i()?.min(args[1].as_i()?)),
-            Intrinsic::MaxNum => RtVal::F(args[0].as_f()?.max(args[1].as_f()?)),
-            Intrinsic::MinNum => RtVal::F(args[0].as_f()?.min(args[1].as_f()?)),
+            Intrinsic::MaxNum => RtVal::F(canonical(args[0].as_f()?.max(args[1].as_f()?))),
+            Intrinsic::MinNum => RtVal::F(canonical(args[0].as_f()?.min(args[1].as_f()?))),
             Intrinsic::Nop => RtVal::Unit,
             Intrinsic::Memcpy => {
                 let dst = args[0].as_p()?;
@@ -1087,7 +1379,7 @@ impl<'a> Exec<'a> {
     }
 
     #[inline]
-    fn tick(&mut self) -> Result<()> {
+    fn tick(&mut self) -> Run<()> {
         self.stats.steps += 1;
         if self.stats.steps > self.step_limit {
             return Err(trap("step limit exceeded"));
@@ -1095,7 +1387,7 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
-    fn run(&mut self, code: &Code, args: &[RtVal]) -> Result<RtVal> {
+    fn run(&mut self, code: &Code, args: &[RtVal]) -> Run<RtVal> {
         let Some(entry) = code.entry else {
             return Err(trap(format!("@{} has no blocks", code.name)));
         };
@@ -1119,33 +1411,71 @@ impl<'a> Exec<'a> {
                     self.enter(code, b, p, &mut frame)?;
                 }
             }
-            for op in b.ops.iter() {
-                self.tick()?;
-                self.exec(code, op, &mut frame)?;
-            }
-            let next = match &b.term {
-                Term::Br(t) => {
-                    self.tick()?;
-                    *t
-                }
-                Term::CondBr { cond, t, f } => {
-                    self.tick()?;
-                    if code.read(&frame, *cond)?.as_i()? != 0 {
-                        *t
-                    } else {
-                        *f
+            let before = self.stats.steps;
+            let after = before.saturating_add(b.cost);
+            let whole = !b.calls && after <= self.step_limit;
+            if whole {
+                // The whole block fits under the limit: charge it once,
+                // and take back what a trap leaves unrun.
+                self.stats.steps = after;
+                for (k, op) in b.ops.iter().enumerate() {
+                    if let Err(t) = self.exec(code, op, &mut frame) {
+                        self.stats.steps = before + k as u64 + 1;
+                        return Err(t);
                     }
                 }
-                Term::Ret(v) => {
+            } else {
+                for op in b.ops.iter() {
                     self.tick()?;
-                    return v.map_or(Ok(RtVal::Unit), |v| code.read(&frame, v));
+                    self.exec(code, op, &mut frame)?;
                 }
-                Term::Unreachable => {
+                // The terminator's first step; a fused compare takes its
+                // second below.
+                if b.term.steps() > 0 {
                     self.tick()?;
-                    return Err(trap("executed unreachable"));
                 }
+            }
+            let next = match b.term {
+                Term::Br(t) => t,
+                Term::CondBr { cond, t, f } => {
+                    if code.int(&frame, cond)? != 0 {
+                        t
+                    } else {
+                        f
+                    }
+                }
+                Term::CmpBr {
+                    pred,
+                    a,
+                    b: y,
+                    dst,
+                    t,
+                    f,
+                } => {
+                    let c = match compare(code, &frame, pred, a, y) {
+                        Ok(c) => c,
+                        Err(e) => {
+                            if whole {
+                                // The branch's step was not reached.
+                                self.stats.steps -= 1;
+                            }
+                            return Err(e);
+                        }
+                    };
+                    frame[dst as usize] = Some(RtVal::I(i128::from(c)));
+                    if !whole {
+                        self.tick()?;
+                    }
+                    if c {
+                        t
+                    } else {
+                        f
+                    }
+                }
+                Term::Ret(v) => return v.map_or(Ok(RtVal::Unit), |v| code.read(&frame, v)),
+                Term::Unreachable => return Err(trap("executed unreachable")),
                 Term::FallThrough => continue,
-                Term::Trap(msg) => return Err(trap(&**msg)),
+                Term::Trap(ref msg) => return Err(trap(&**msg)),
             };
             prev = Some(block);
             block = next;
@@ -1159,14 +1489,15 @@ impl<'a> Exec<'a> {
         b: &Block,
         prev: BlockId,
         frame: &mut [Option<RtVal>],
-    ) -> Result<()> {
+    ) -> Run<()> {
         self.phi_vals.clear();
         for phi in b.phis.iter() {
-            let &(_, src) = phi
-                .incoming
-                .iter()
-                .find(|(from, _)| *from == prev)
-                .ok_or_else(|| trap(format!("phi %{} has no edge from block {prev}", phi.id)))?;
+            let Some(&(_, src)) = phi.incoming.iter().find(|(from, _)| *from == prev) else {
+                return Err(trap(format!(
+                    "phi %{} has no edge from block {prev}",
+                    phi.id
+                )));
+            };
             self.phi_vals.push(code.read(frame, src)?);
         }
         for (phi, v) in b.phis.iter().zip(&self.phi_vals) {
@@ -1175,10 +1506,17 @@ impl<'a> Exec<'a> {
         Ok(())
     }
 
-    #[inline]
-    fn exec(&mut self, code: &Code, op: &Op, frame: &mut [Option<RtVal>]) -> Result<()> {
-        let get = |s: Slot| code.read(frame, s);
+    #[inline(always)]
+    fn exec(&mut self, code: &Code, op: &Op, frame: &mut [Option<RtVal>]) -> Run<()> {
         let (dst, v) = match *op {
+            Op::Add { a, b, dst, width } => {
+                let (x, y) = (code.int(frame, a)?, code.int(frame, b)?);
+                (dst, RtVal::I(wrap(x.wrapping_add(y), width)))
+            }
+            Op::Mul { a, b, dst, width } => {
+                let (x, y) = (code.int(frame, a)?, code.int(frame, b)?);
+                (dst, RtVal::I(wrap(x.wrapping_mul(y), width)))
+            }
             Op::Int {
                 op,
                 a,
@@ -1186,28 +1524,16 @@ impl<'a> Exec<'a> {
                 dst,
                 width,
             } => {
-                let x = get(a)?.as_i()?;
-                let y = get(b)?.as_i()?;
-                let r = match op {
-                    Opcode::Add => x.wrapping_add(y),
-                    Opcode::Sub => x.wrapping_sub(y),
-                    Opcode::Mul => x.wrapping_mul(y),
-                    Opcode::SDiv | Opcode::SRem | Opcode::UDiv | Opcode::URem if y == 0 => {
-                        return Err(trap(format!("{} by zero", op.mnemonic())))
-                    }
-                    Opcode::SDiv => x.wrapping_div(y),
-                    Opcode::SRem => x.wrapping_rem(y),
-                    Opcode::UDiv => ((x as u128) / (y as u128)) as i128,
-                    Opcode::URem => ((x as u128) % (y as u128)) as i128,
-                    Opcode::And => x & y,
-                    Opcode::Or => x | y,
-                    Opcode::Xor => x ^ y,
-                    Opcode::Shl => x.wrapping_shl(y as u32),
-                    Opcode::LShr => (x as u128).wrapping_shr(y as u32) as i128,
-                    Opcode::AShr => x.wrapping_shr(y as u32),
-                    _ => unreachable!("decoded as an integer binop"),
-                };
-                (dst, RtVal::I(wrap(r, width)))
+                let (x, y) = (code.int(frame, a)?, code.int(frame, b)?);
+                (dst, RtVal::I(wrap(int_binop(op, x, y)?, width)))
+            }
+            Op::FAdd { a, b, dst, single } => {
+                let (x, y) = (code.float(frame, a)?, code.float(frame, b)?);
+                (dst, RtVal::F(canonical(round(x + y, single))))
+            }
+            Op::FMul { a, b, dst, single } => {
+                let (x, y) = (code.float(frame, a)?, code.float(frame, b)?);
+                (dst, RtVal::F(canonical(round(x * y, single))))
             }
             Op::Float {
                 op,
@@ -1216,88 +1542,98 @@ impl<'a> Exec<'a> {
                 dst,
                 single,
             } => {
-                let x = get(a)?.as_f()?;
-                let y = get(b)?.as_f()?;
+                let (x, y) = (code.float(frame, a)?, code.float(frame, b)?);
                 let r = match op {
-                    Opcode::FAdd => x + y,
                     Opcode::FSub => x - y,
-                    Opcode::FMul => x * y,
                     Opcode::FDiv => x / y,
                     Opcode::FRem => x % y,
-                    _ => unreachable!("decoded as a float binop"),
+                    _ => unreachable!("decoded as fsub, fdiv or frem"),
                 };
-                (dst, RtVal::F(round(r, single)))
+                (dst, RtVal::F(canonical(round(r, single))))
             }
-            Op::FNeg { a, dst } => (dst, RtVal::F(-get(a)?.as_f()?)),
+            Op::FNeg { a, dst } => (dst, RtVal::F(-code.float(frame, a)?)),
             Op::ICmp { pred, a, b, dst } => {
-                let (av, bv) = (get(a)?, get(b)?);
-                let (x, y) = match (av, bv) {
-                    (RtVal::P(x), RtVal::P(y)) => (x as i128, y as i128),
-                    _ => (av.as_i()?, bv.as_i()?),
-                };
-                let r = match pred {
-                    IntPred::Eq => x == y,
-                    IntPred::Ne => x != y,
-                    IntPred::Slt => x < y,
-                    IntPred::Sle => x <= y,
-                    IntPred::Sgt => x > y,
-                    IntPred::Sge => x >= y,
-                    IntPred::Ult => (x as u128) < (y as u128),
-                    IntPred::Ule => (x as u128) <= (y as u128),
-                    IntPred::Ugt => (x as u128) > (y as u128),
-                    IntPred::Uge => (x as u128) >= (y as u128),
-                };
-                (dst, RtVal::I(i128::from(r)))
+                (dst, RtVal::I(i128::from(compare(code, frame, pred, a, b)?)))
             }
             Op::FCmp { pred, a, b, dst } => {
-                let x = get(a)?.as_f()?;
-                let y = get(b)?.as_f()?;
-                let r = match pred {
-                    FloatPred::Oeq => x == y,
-                    FloatPred::One => x != y && !x.is_nan() && !y.is_nan(),
-                    FloatPred::Olt => x < y,
-                    FloatPred::Ole => x <= y,
-                    FloatPred::Ogt => x > y,
-                    FloatPred::Oge => x >= y,
-                    FloatPred::Une => x != y,
-                    FloatPred::Ord => !x.is_nan() && !y.is_nan(),
-                    FloatPred::Uno => x.is_nan() || y.is_nan(),
-                };
-                (dst, RtVal::I(i128::from(r)))
+                let (x, y) = (code.float(frame, a)?, code.float(frame, b)?);
+                (dst, RtVal::I(i128::from(fcmp(pred, x, y))))
+            }
+            Op::LoadF32 { ptr, dst } => {
+                let p = code.ptr(frame, ptr)?;
+                (dst, RtVal::F(f32::from_le_bytes(self.mem.array(p)?) as f64))
             }
             Op::Load { ptr, dst, kind } => {
-                let p = get(ptr)?.as_p()?;
+                let p = code.ptr(frame, ptr)?;
                 (dst, self.mem.load_scalar(p, kind)?)
             }
             Op::BadLoad { ptr, ref ty } => {
-                get(ptr)?.as_p()?;
+                code.ptr(frame, ptr)?;
                 return Err(trap(format!("cannot load type {ty}")));
             }
+            Op::StoreF32 { val, ptr } => {
+                let v = code.read(frame, val)?;
+                let p = code.ptr(frame, ptr)?;
+                return self.mem.put(p, (v.as_f()? as f32).to_le_bytes());
+            }
             Op::Store { val, ptr, kind } => {
-                let v = get(val)?;
-                let p = get(ptr)?.as_p()?;
+                let v = code.read(frame, val)?;
+                let p = code.ptr(frame, ptr)?;
                 return self.mem.store_scalar(p, kind, v);
             }
             Op::BadStore { val, ptr, ref ty } => {
-                get(val)?;
-                get(ptr)?.as_p()?;
+                code.read(frame, val)?;
+                code.ptr(frame, ptr)?;
                 return Err(trap(format!("cannot store type {ty}")));
+            }
+            Op::Gep0 { base, dst, offset } => {
+                let p = code.ptr(frame, base)?;
+                (dst, RtVal::P(offset_ptr(p, i128::from(offset))))
+            }
+            Op::Gep1 {
+                base,
+                dst,
+                i,
+                si,
+                offset,
+            } => {
+                let p = code.ptr(frame, base)?;
+                let i = code.int(frame, i)? as i64;
+                let delta = i128::from(i) * i128::from(si) + i128::from(offset);
+                (dst, RtVal::P(offset_ptr(p, delta)))
+            }
+            Op::Gep2 {
+                base,
+                dst,
+                i,
+                j,
+                si,
+                sj,
+                offset,
+            } => {
+                let p = code.ptr(frame, base)?;
+                let i = code.int(frame, i)? as i64;
+                let j = code.int(frame, j)? as i64;
+                let delta = i128::from(i) * i128::from(si)
+                    + i128::from(j) * i128::from(sj)
+                    + i128::from(offset);
+                (dst, RtVal::P(offset_ptr(p, delta)))
             }
             Op::Gep {
                 base,
                 dst,
                 ref steps,
             } => {
-                let p = get(base)?.as_p()?;
+                let p = code.ptr(frame, base)?;
                 let mut delta: i128 = 0;
                 for step in steps.iter() {
                     match *step {
                         GepStep::Scale(idx, stride) => {
-                            let i = get(idx)?.as_i()? as i64;
+                            let i = code.int(frame, idx)? as i64;
                             delta = delta.saturating_add(i128::from(i) * i128::from(stride));
                         }
                         GepStep::NonArray(idx, ref ty) => {
-                            get(idx)?.as_i()?;
+                            code.int(frame, idx)?;
                             return Err(trap(format!("gep steps into non-array {ty}")));
                         }
                     }
@@ -1309,30 +1645,93 @@ impl<'a> Exec<'a> {
                 let args = site
                     .args
                     .iter()
-                    .map(|&s| get(s))
-                    .collect::<Result<Vec<_>>>()?;
+                    .map(|&s| code.read(frame, s))
+                    .collect::<Run<Vec<_>>>()?;
                 (dst, self.invoke(site.callee, &site.name, &args)?)
             }
             Op::Select { cond, t, f, dst } => {
-                let c = get(cond)?.as_i()?;
-                (dst, get(if c != 0 { t } else { f })?)
+                let c = code.int(frame, cond)?;
+                (dst, code.read(frame, if c != 0 { t } else { f })?)
             }
             Op::ZExt { a, dst, from } => {
                 let mask = if from >= 128 { -1 } else { (1i128 << from) - 1 };
-                (dst, RtVal::I(get(a)?.as_i()? & mask))
+                (dst, RtVal::I(code.int(frame, a)? & mask))
             }
-            Op::SExt { a, dst } => (dst, RtVal::I(get(a)?.as_i()?)),
-            Op::Trunc { a, dst, width } => (dst, RtVal::I(wrap(get(a)?.as_i()?, width))),
-            Op::FpCast { a, dst, single } => (dst, RtVal::F(round(get(a)?.as_f()?, single))),
-            Op::FpToSi { a, dst } => (dst, RtVal::I(get(a)?.as_f()? as i128)),
-            Op::SiToFp { a, dst, single } => (dst, RtVal::F(round(get(a)?.as_i()? as f64, single))),
-            Op::PtrToInt { a, dst } => (dst, RtVal::I(get(a)?.as_p()? as i128)),
-            Op::IntToPtr { a, dst } => (dst, RtVal::P(get(a)?.as_i()? as u64)),
-            Op::Copy { a, dst } => (dst, get(a)?),
+            Op::SExt { a, dst } => (dst, RtVal::I(code.int(frame, a)?)),
+            Op::Trunc { a, dst, width } => (dst, RtVal::I(wrap(code.int(frame, a)?, width))),
+            Op::FpCast { a, dst, single } => (dst, RtVal::F(round(code.float(frame, a)?, single))),
+            Op::FpToSi { a, dst } => (dst, RtVal::I(code.float(frame, a)? as i128)),
+            Op::SiToFp { a, dst, single } => {
+                (dst, RtVal::F(round(code.int(frame, a)? as f64, single)))
+            }
+            Op::PtrToInt { a, dst } => (dst, RtVal::I(code.ptr(frame, a)? as i128)),
+            Op::IntToPtr { a, dst } => (dst, RtVal::P(code.int(frame, a)? as u64)),
+            Op::Copy { a, dst } => (dst, code.read(frame, a)?),
             Op::Trap(ref msg) => return Err(trap(&**msg)),
         };
         frame[dst as usize] = Some(v);
         Ok(())
+    }
+}
+
+/// The integer binops without a variant of their own.
+fn int_binop(op: Opcode, x: i128, y: i128) -> Run<i128> {
+    Ok(match op {
+        Opcode::SDiv | Opcode::SRem | Opcode::UDiv | Opcode::URem if y == 0 => {
+            return Err(trap(format!("{} by zero", op.mnemonic())))
+        }
+        Opcode::Sub => x.wrapping_sub(y),
+        Opcode::SDiv => x.wrapping_div(y),
+        Opcode::SRem => x.wrapping_rem(y),
+        Opcode::UDiv => ((x as u128) / (y as u128)) as i128,
+        Opcode::URem => ((x as u128) % (y as u128)) as i128,
+        Opcode::And => x & y,
+        Opcode::Or => x | y,
+        Opcode::Xor => x ^ y,
+        Opcode::Shl => x.wrapping_shl(y as u32),
+        Opcode::LShr => (x as u128).wrapping_shr(y as u32) as i128,
+        Opcode::AShr => x.wrapping_shr(y as u32),
+        _ => unreachable!("decoded as an integer binop without its own op"),
+    })
+}
+
+/// `icmp pred a, b`: integers, or two pointers compared as integers.
+#[inline(always)]
+fn compare(code: &Code, frame: &[Option<RtVal>], pred: IntPred, a: Slot, b: Slot) -> Run<bool> {
+    let (x, y) = match (frame[a as usize], frame[b as usize]) {
+        (Some(RtVal::I(x)), Some(RtVal::I(y))) => (x, y),
+        (Some(RtVal::P(x)), Some(RtVal::P(y))) => (x as i128, y as i128),
+        _ => {
+            let (av, bv) = (code.read(frame, a)?, code.read(frame, b)?);
+            (av.as_i()?, bv.as_i()?)
+        }
+    };
+    Ok(match pred {
+        IntPred::Eq => x == y,
+        IntPred::Ne => x != y,
+        IntPred::Slt => x < y,
+        IntPred::Sle => x <= y,
+        IntPred::Sgt => x > y,
+        IntPred::Sge => x >= y,
+        IntPred::Ult => (x as u128) < (y as u128),
+        IntPred::Ule => (x as u128) <= (y as u128),
+        IntPred::Ugt => (x as u128) > (y as u128),
+        IntPred::Uge => (x as u128) >= (y as u128),
+    })
+}
+
+#[inline]
+fn fcmp(pred: FloatPred, x: f64, y: f64) -> bool {
+    match pred {
+        FloatPred::Oeq => x == y,
+        FloatPred::One => x != y && !x.is_nan() && !y.is_nan(),
+        FloatPred::Olt => x < y,
+        FloatPred::Ole => x <= y,
+        FloatPred::Ogt => x > y,
+        FloatPred::Oge => x >= y,
+        FloatPred::Une => x != y,
+        FloatPred::Ord => !x.is_nan() && !y.is_nan(),
+        FloatPred::Uno => x.is_nan() || y.is_nan(),
     }
 }
 
@@ -1780,6 +2179,227 @@ entry:
         }
         let e = interp.call("far", &[RtVal::P(a)]).unwrap_err();
         assert!(e.to_string().contains("wild pointer"), "{e}");
+    }
+
+    #[test]
+    fn nan_results_are_canonical_whatever_the_operand_order() {
+        let src = r#"
+define float @add(float %a, float %b) {
+entry:
+  %r = fadd float %a, %b
+  ret float %r
+}
+
+define double @div(double %a, double %b) {
+entry:
+  %r = fdiv double %a, %b
+  ret double %r
+}
+
+define void @store(float* %p, float %a, float %b) {
+entry:
+  %r = fadd float %a, %b
+  store float %r, float* %p, align 4
+  ret void
+}
+"#;
+        let nan = f64::NAN;
+        let bits = |v: Result<RtVal>| match v.unwrap() {
+            RtVal::F(x) => x.to_bits(),
+            other => panic!("not a float: {other:?}"),
+        };
+        let ab = bits(run(src, "add", &[RtVal::F(nan), RtVal::F(-nan)]));
+        let ba = bits(run(src, "add", &[RtVal::F(-nan), RtVal::F(nan)]));
+        assert_eq!(ab, ba, "NaN + -NaN and -NaN + NaN");
+        assert_eq!(ab, 0x7ff8_0000_0000_0000);
+        let zz = bits(run(src, "div", &[RtVal::F(0.0), RtVal::F(0.0)]));
+        assert_eq!(zz, 0x7ff8_0000_0000_0000, "0/0");
+
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        let p = interp.mem.alloc(4);
+        for (a, b) in [(nan, -nan), (-nan, nan)] {
+            interp
+                .call("store", &[RtVal::P(p), RtVal::F(a), RtVal::F(b)])
+                .unwrap();
+            let stored = u32::from_le_bytes(interp.mem.array(p).ok().unwrap());
+            assert_eq!(stored, 0x7fc0_0000);
+        }
+    }
+
+    /// A straight-line block whose second op traps: the steps it did not
+    /// reach are not counted.
+    #[test]
+    fn a_trap_inside_a_block_counts_only_the_steps_it_reached() {
+        let src = r#"
+define i32 @f(i32 %a) {
+entry:
+  %x = add i32 %a, 1
+  %y = sdiv i32 %x, 0
+  %z = add i32 %y, 1
+  %w = add i32 %z, 1
+  ret i32 %w
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        let e = interp.call("f", &[RtVal::I(1)]).unwrap_err();
+        assert_eq!(e.to_string(), "interpreter trap: sdiv by zero");
+        assert_eq!(interp.stats.steps, 2);
+    }
+
+    /// The step limit can land anywhere in a block; the trap fires at the
+    /// step that crosses it, as if every instruction were counted alone.
+    #[test]
+    fn the_step_limit_fires_at_the_same_step_wherever_it_lands() {
+        let src = r#"
+define i32 @f(i32 %a) {
+entry:
+  %x = add i32 %a, 1
+  %y = add i32 %x, 1
+  br label %next
+
+next:
+  %z = add i32 %y, 1
+  %w = add i32 %z, 1
+  ret i32 %w
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        for limit in 0..6 {
+            let mut interp = Interpreter::new(&m);
+            interp.step_limit = limit;
+            let e = interp.call("f", &[RtVal::I(1)]).unwrap_err();
+            assert_eq!(e.to_string(), "interpreter trap: step limit exceeded");
+            assert_eq!(interp.stats.steps, limit + 1, "limit {limit}");
+        }
+        let mut interp = Interpreter::new(&m);
+        interp.step_limit = 6;
+        assert_eq!(interp.call("f", &[RtVal::I(1)]).unwrap(), RtVal::I(5));
+        assert_eq!(interp.stats.steps, 6);
+    }
+
+    /// A callee's steps fall between its caller's: the limit trips inside
+    /// the callee at the same step as counting one instruction at a time.
+    #[test]
+    fn steps_of_a_defined_callee_interleave_with_the_caller() {
+        let src = r#"
+define i32 @inc(i32 %a) {
+entry:
+  %r = add i32 %a, 1
+  ret i32 %r
+}
+
+define i32 @f(i32 %a) {
+entry:
+  %x = call i32 @inc(i32 %a)
+  %y = add i32 %x, 1
+  %z = add i32 %y, 1
+  ret i32 %z
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        assert_eq!(interp.call("f", &[RtVal::I(1)]).unwrap(), RtVal::I(4));
+        assert_eq!(interp.stats.steps, 6);
+        assert_eq!(interp.stats.calls, 2);
+        // Limit 2: the call (step 1) and the callee's add (step 2) run;
+        // the callee's ret is step 3 and trips.
+        let mut interp = Interpreter::new(&m);
+        interp.step_limit = 2;
+        let e = interp.call("f", &[RtVal::I(1)]).unwrap_err();
+        assert_eq!(e.to_string(), "interpreter trap: step limit exceeded");
+        assert_eq!(interp.stats.steps, 3);
+    }
+
+    #[test]
+    fn folded_geps_match_the_step_by_step_form() {
+        let src = r#"
+define float @get([4 x [8 x float]]* %a, i64 %i) {
+entry:
+  %p = getelementptr inbounds [4 x [8 x float]], [4 x [8 x float]]* %a, i64 0, i64 %i, i64 3
+  %v = load float, float* %p, align 4
+  ret float %v
+}
+
+define float @fixed([4 x [8 x float]]* %a) {
+entry:
+  %p = getelementptr inbounds [4 x [8 x float]], [4 x [8 x float]]* %a, i64 0, i64 2, i64 5
+  %v = load float, float* %p, align 4
+  ret float %v
+}
+
+define float @huge([4 x [8 x float]]* %a, i64 %i) {
+entry:
+  %p = getelementptr inbounds [4 x [8 x float]], [4 x [8 x float]]* %a, i64 9223372036854775807, i64 %i, i64 0
+  %v = load float, float* %p, align 4
+  ret float %v
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        let data: Vec<f32> = (0..32).map(|x| x as f32).collect();
+        let a = interp.mem.alloc_f32(&data);
+        let get = interp.call("get", &[RtVal::P(a), RtVal::I(2)]).unwrap();
+        assert_eq!(get, RtVal::F(19.0));
+        let fixed = interp.call("fixed", &[RtVal::P(a)]).unwrap();
+        assert_eq!(fixed, RtVal::F(21.0));
+        // A constant term past `i32` keeps the step-by-step form.
+        let e = interp
+            .call("huge", &[RtVal::P(a), RtVal::I(i64::MIN as i128)])
+            .unwrap_err();
+        assert!(e.to_string().contains("wild pointer"), "{e}");
+    }
+
+    /// A compare fused into its branch counts its own step, then the
+    /// branch's: a trap in the compare leaves the branch's step uncounted,
+    /// and a limit between the two trips after the compare ran.
+    #[test]
+    fn a_fused_compare_and_branch_count_two_steps() {
+        let src = r#"
+define i32 @f(i32 %a) {
+entry:
+  %y = add i32 %a, 1
+  %c = icmp slt i32 %y, %z
+  br i1 %c, label %exit, label %other
+
+other:
+  %z = add i32 %a, 2
+  br label %exit
+
+exit:
+  ret i32 %y
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        for (limit, want) in [
+            (1, "step limit exceeded"),
+            (2, "read of unset %3 in @f"),
+            (3, "read of unset %3 in @f"),
+        ] {
+            let mut interp = Interpreter::new(&m);
+            interp.step_limit = limit;
+            let e = interp.call("f", &[RtVal::I(1)]).unwrap_err();
+            assert_eq!(e.to_string(), format!("interpreter trap: {want}"));
+            assert_eq!(interp.stats.steps, 2, "limit {limit}");
+        }
+    }
+
+    #[test]
+    fn a_phi_after_a_compare_in_the_entry_block_still_traps() {
+        let src = r#"
+define i32 @f(i32 %a) {
+entry:
+  %c = icmp slt i32 %a, 1
+  %p = phi i32 [ 0, %entry ]
+  br i1 %c, label %entry, label %entry
+}
+"#;
+        let m = parse_module("m", src).unwrap();
+        let mut interp = Interpreter::new(&m);
+        let e = interp.call("f", &[RtVal::I(1)]).unwrap_err();
+        assert_eq!(e.to_string(), "interpreter trap: phi in entry block");
+        assert_eq!(interp.stats.steps, 1);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! the conservative assumption (a distance-1 carried dependence), which
 //! inflates RecMII.
 
-use std::collections::HashMap;
-
 use llvm_lite::analysis::NaturalLoop;
 use llvm_lite::{Function, InstData, InstId, Opcode, Value};
 
@@ -392,13 +390,18 @@ pub fn dependence_distance(a: &Access, b: &Access) -> Distance {
     }
 }
 
-/// Count accesses per base object (used for memory-port ResMII).
-pub fn accesses_per_base(accesses: &[Access]) -> HashMap<BaseObject, u32> {
-    let mut map = HashMap::new();
+/// Count accesses per base object (used for memory-port ResMII), in the
+/// order each base is first accessed, so a tie between bases always
+/// resolves the same way.
+pub fn accesses_per_base(accesses: &[Access]) -> Vec<(BaseObject, u32)> {
+    let mut counts: Vec<(BaseObject, u32)> = Vec::new();
     for a in accesses {
-        *map.entry(a.base.clone()).or_insert(0) += 1;
+        match counts.iter_mut().find(|(base, _)| *base == a.base) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((a.base.clone(), 1)),
+        }
     }
-    map
+    counts
 }
 
 #[cfg(test)]
@@ -613,8 +616,10 @@ exit:
     fn access_counting() {
         let acc = analyze(REDUCTION);
         let counts = accesses_per_base(&acc);
-        assert_eq!(counts[&BaseObject::Param(0)], 1);
-        assert_eq!(counts[&BaseObject::Param(1)], 2);
+        assert_eq!(
+            counts,
+            vec![(BaseObject::Param(0), 1), (BaseObject::Param(1), 2)]
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 
 use llvm_lite::analysis::NaturalLoop;
+use llvm_lite::printer::NameMap;
 use llvm_lite::{Function, InstId, Module, Opcode, Value};
 use pass_core::{Budget, BudgetError, Diagnostic};
 
@@ -87,7 +88,7 @@ pub fn compute_ii_budgeted(
 
     // ResMII: port pressure per base (unroll replicates accesses).
     let mut res_mii = 1u32;
-    let mut res_base = String::new();
+    let mut res_base = None;
     for (base, count) in accesses_per_base(&accesses) {
         let ports = if cx.m_axi_bases.contains(&base) {
             target.axi_ports
@@ -97,7 +98,7 @@ pub fn compute_ii_budgeted(
         let need = (count * unroll).div_ceil(ports.max(1));
         if need > res_mii {
             res_mii = need;
-            res_base = describe_base(f, &base);
+            res_base = Some(base);
         }
     }
 
@@ -105,7 +106,7 @@ pub fn compute_ii_budgeted(
     // refining the pairwise analysis where both accesses are affine.
     let nf = nest_facts(f, l);
     let mut rec_mii = 1u32;
-    let mut rec_base = String::new();
+    let mut rec_base = None;
     for st in accesses.iter().filter(|a| a.is_store) {
         budget.charge(1, "csynth/ii")?;
         for other in &accesses {
@@ -123,19 +124,21 @@ pub fn compute_ii_budgeted(
             let cand = lat.div_ceil(d);
             if cand > rec_mii {
                 rec_mii = cand;
-                rec_base = describe_base(f, &st.base);
+                rec_base = Some(&st.base);
             }
         }
     }
 
     let floor = rec_mii.max(res_mii);
     let ii = floor.max(requested.max(1));
+    // The binding base is named once, as the printed module names it.
+    let name = |base: Option<&BaseObject>| base.map_or_else(String::new, |b| describe_base(f, b));
     let bound = if floor <= requested.max(1) {
         IiBound::Target
     } else if rec_mii >= res_mii {
-        IiBound::Recurrence(rec_base)
+        IiBound::Recurrence(name(rec_base))
     } else {
-        IiBound::MemoryPorts(res_base)
+        IiBound::MemoryPorts(name(res_base.as_ref()))
     };
     Ok(IiResult {
         ii,
@@ -294,17 +297,14 @@ pub fn explain_ii_blockers(m: &Module, f: &Function, target: &Target) -> Vec<Dia
     out
 }
 
+/// A base object as the printed module spells it. An alloca's name hint
+/// need not be unique (lowering calls every `memref.alloca` `buf`), so it
+/// is named by the printer's [`NameMap`]: the module the flow built and
+/// its re-parse name it alike.
 fn describe_base(f: &Function, base: &BaseObject) -> String {
     match base {
         BaseObject::Param(i) => format!("%{}", f.params[*i as usize].name),
-        BaseObject::Alloca(id) => {
-            let n = &f.inst(*id).name;
-            if n.is_empty() {
-                format!("%{id}")
-            } else {
-                format!("%{n}")
-            }
-        }
+        BaseObject::Alloca(id) => format!("%{}", NameMap::build(f).inst(*id)),
         BaseObject::Global(g) => format!("@{g}"),
         BaseObject::Unknown => "<unknown>".to_string(),
     }
@@ -501,6 +501,124 @@ exit:
         assert_eq!(r.res_mii, 2); // ceil(3 reads / 2 ports)
         assert_eq!(r.ii, 2);
         assert!(matches!(r.bound, IiBound::MemoryPorts(ref b) if b == "%a"));
+    }
+
+    /// Two arrays each need two port cycles: `%b`, the first accessed,
+    /// names the bound, although `%a` comes first in the parameter list.
+    const TIED_PORTS: &str = r#"
+define void @f([34 x float]* %a, [34 x float]* %b, [34 x float]* %c) {
+entry:
+  br label %header
+
+header:
+  %i = phi i64 [ 1, %entry ], [ %next, %body ]
+  %cond = icmp slt i64 %i, 33
+  br i1 %cond, label %body, label %exit
+
+body:
+  %im1 = add i64 %i, -1
+  %ip1 = add i64 %i, 1
+  %b0 = getelementptr inbounds [34 x float], [34 x float]* %b, i64 0, i64 %im1
+  %b1 = getelementptr inbounds [34 x float], [34 x float]* %b, i64 0, i64 %i
+  %b2 = getelementptr inbounds [34 x float], [34 x float]* %b, i64 0, i64 %ip1
+  %u0 = load float, float* %b0, align 4
+  %u1 = load float, float* %b1, align 4
+  %u2 = load float, float* %b2, align 4
+  %a0 = getelementptr inbounds [34 x float], [34 x float]* %a, i64 0, i64 %im1
+  %a1 = getelementptr inbounds [34 x float], [34 x float]* %a, i64 0, i64 %i
+  %a2 = getelementptr inbounds [34 x float], [34 x float]* %a, i64 0, i64 %ip1
+  %v0 = load float, float* %a0, align 4
+  %v1 = load float, float* %a1, align 4
+  %v2 = load float, float* %a2, align 4
+  %s0 = fadd float %u0, %u1
+  %s1 = fadd float %s0, %u2
+  %s2 = fadd float %s1, %v0
+  %s3 = fadd float %s2, %v1
+  %s4 = fadd float %s3, %v2
+  %q = getelementptr inbounds [34 x float], [34 x float]* %c, i64 0, i64 %i
+  store float %s4, float* %q, align 4
+  %next = add i64 %i, 1
+  br label %header
+
+exit:
+  ret void
+}
+"#;
+
+    /// `%buf1`, the second alloca, needs two port cycles.
+    const SECOND_ALLOCA_BOUND: &str = r#"
+define void @f([32 x float]* %out) {
+entry:
+  %buf = alloca [34 x float], align 4
+  %buf1 = alloca [34 x float], align 4
+  br label %header
+
+header:
+  %i = phi i64 [ 1, %entry ], [ %next, %body ]
+  %cond = icmp slt i64 %i, 33
+  br i1 %cond, label %body, label %exit
+
+body:
+  %im1 = add i64 %i, -1
+  %ip1 = add i64 %i, 1
+  %a = getelementptr inbounds [34 x float], [34 x float]* %buf, i64 0, i64 %i
+  %b0 = getelementptr inbounds [34 x float], [34 x float]* %buf1, i64 0, i64 %im1
+  %b1 = getelementptr inbounds [34 x float], [34 x float]* %buf1, i64 0, i64 %i
+  %b2 = getelementptr inbounds [34 x float], [34 x float]* %buf1, i64 0, i64 %ip1
+  %v = load float, float* %a, align 4
+  %u0 = load float, float* %b0, align 4
+  %u1 = load float, float* %b1, align 4
+  %u2 = load float, float* %b2, align 4
+  %s0 = fadd float %v, %u0
+  %s1 = fadd float %s0, %u1
+  %s2 = fadd float %s1, %u2
+  %q = getelementptr inbounds [32 x float], [32 x float]* %out, i64 0, i64 %i
+  store float %s2, float* %q, align 4
+  %next = add i64 %i, 1
+  br label %header
+
+exit:
+  ret void
+}
+"#;
+
+    #[test]
+    fn alloca_bounds_are_named_as_the_module_prints() {
+        let mut m = parse_module("m", SECOND_ALLOCA_BOUND).unwrap();
+        let second = m.functions[0].inst_ids()[1].1;
+        let bound = |m: &Module| {
+            let f = &m.functions[0];
+            let cfg = Cfg::build(f);
+            let dom = DomTree::build(f, &cfg);
+            let li = LoopInfo::build(f, &cfg, &dom);
+            let cx = ScheduleCtx::from_function(f);
+            let l = li.innermost_loops()[0];
+            compute_ii(m, f, l, &Target::default(), &cx, 1, 1).bound
+        };
+        assert_eq!(bound(&m), IiBound::MemoryPorts("%buf1".into()));
+        // A repeated hint prints with a suffix, as lowering leaves every
+        // alloca `buf`; a missing one prints as the next `%tN`.
+        for (hint, printed) in [("buf", "%buf1"), ("", "%t0")] {
+            m.functions[0].inst_mut(second).name = hint.into();
+            let text = llvm_lite::printer::print_module(&m);
+            assert!(text.contains(&format!("{printed} = alloca")), "{text}");
+            assert_eq!(
+                bound(&m),
+                IiBound::MemoryPorts(printed.into()),
+                "hint {hint:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tied_port_bounds_name_the_first_accessed_array() {
+        // Each map gets its own hash keys, so repeated runs in one process
+        // would see a hash-ordered tie-break go both ways.
+        for _ in 0..32 {
+            let r = ii_of(TIED_PORTS, 1);
+            assert_eq!((r.res_mii, r.rec_mii, r.ii), (2, 1, 2));
+            assert_eq!(r.bound, IiBound::MemoryPorts("%b".into()));
+        }
     }
 
     #[test]

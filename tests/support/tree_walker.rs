@@ -1,12 +1,17 @@
 //! The tree-walking interpreter that `llvm_lite::interp` replaced, kept
-//! verbatim (bar import paths) as the oracle of the old-vs-new
-//! differential test in `interp_differential.rs`.
+//! verbatim (bar import paths and the NaN rule below) as the oracle of the
+//! old-vs-new differential test in `interp_differential.rs`.
 //!
 //! It walks the IR directly: a `HashMap` environment per call, a cloned
 //! instruction list per block visit and types resolved per execution.
 //! Two known defects are deliberately kept: a GEP offset of 4 GiB or more
 //! carries into the buffer-id bits, and shifts by 128 or more panic in
 //! debug builds. The differential inputs reach neither.
+//!
+//! One rule was added since: every NaN that a float binop or the `sqrt`,
+//! `exp`, `maxnum` and `minnum` intrinsics produce is the canonical quiet
+//! NaN, as in `llvm_lite::interp`, so the comparison stays bit-exact on
+//! any host.
 
 use std::collections::HashMap;
 
@@ -270,17 +275,19 @@ impl<'m> Interpreter<'m> {
     fn try_intrinsic(&mut self, name: &str, args: &[RtVal]) -> Result<Option<RtVal>> {
         let v = match name {
             "llvm.sqrt.f32" | "llvm.sqrt.f64" | "sqrtf" | "sqrt" => {
-                RtVal::F(args[0].as_f()?.sqrt())
+                RtVal::F(canonical(args[0].as_f()?.sqrt()))
             }
             "llvm.fabs.f32" | "llvm.fabs.f64" | "fabsf" | "fabs" => RtVal::F(args[0].as_f()?.abs()),
-            "llvm.exp.f32" | "llvm.exp.f64" | "expf" | "exp" => RtVal::F(args[0].as_f()?.exp()),
+            "llvm.exp.f32" | "llvm.exp.f64" | "expf" | "exp" => {
+                RtVal::F(canonical(args[0].as_f()?.exp()))
+            }
             "llvm.smax.i32" | "llvm.smax.i64" => RtVal::I(args[0].as_i()?.max(args[1].as_i()?)),
             "llvm.smin.i32" | "llvm.smin.i64" => RtVal::I(args[0].as_i()?.min(args[1].as_i()?)),
             "llvm.maxnum.f32" | "llvm.maxnum.f64" | "fmaxf" => {
-                RtVal::F(args[0].as_f()?.max(args[1].as_f()?))
+                RtVal::F(canonical(args[0].as_f()?.max(args[1].as_f()?)))
             }
             "llvm.minnum.f32" | "llvm.minnum.f64" | "fminf" => {
-                RtVal::F(args[0].as_f()?.min(args[1].as_f()?))
+                RtVal::F(canonical(args[0].as_f()?.min(args[1].as_f()?)))
             }
             "llvm.assume" => RtVal::Unit,
             n if n.starts_with("llvm.lifetime.") => RtVal::Unit,
@@ -481,9 +488,9 @@ impl<'m> Interpreter<'m> {
                 };
                 // Emulate single precision where the type says so.
                 if inst.ty == Type::Float {
-                    RtVal::F((r as f32) as f64)
+                    RtVal::F(canonical((r as f32) as f64))
                 } else {
-                    RtVal::F(r)
+                    RtVal::F(canonical(r))
                 }
             }
             Opcode::FNeg => RtVal::F(-ev(self, 0)?.as_f()?),
@@ -632,6 +639,15 @@ impl<'m> Interpreter<'m> {
             Opcode::BitCast => ev(self, 0)?,
             op => return Err(Error::Interp(format!("cannot execute {op:?} here"))),
         })
+    }
+}
+
+/// `v`, with any NaN replaced by the canonical quiet NaN.
+fn canonical(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::from_bits(0x7ff8_0000_0000_0000)
+    } else {
+        v
     }
 }
 
