@@ -3,11 +3,13 @@
 //! refers to.
 //!
 //! [`compat_issues`] scans a module and reports every construct the (old,
-//! frozen) HLS frontend would reject. It is used three ways: as the final
-//! gate of the adaptor pipeline ([`VerifyCompat`]), as the Table-4 metric
-//! (issues remaining after each pass), and by the Vitis simulator, which
-//! refuses to schedule modules that still carry issues — mimicking the real
-//! tool erroring out during IR import.
+//! frozen) HLS frontend would reject. It is used two ways: as the final
+//! gate of the adaptor pipeline ([`VerifyCompat`]), and as the Table-4
+//! metric (issues remaining after each pass,
+//! [`crate::run_adaptor_sampled`]). The Vitis simulator's own acceptance
+//! check, `vitis_sim::csynth::frontend_check`, is written independently on
+//! purpose: it models the tool the adaptor targets, not the adaptor's own
+//! checklist, so the two can disagree and a test can catch it.
 
 use llvm_lite::analysis::{Cfg, DomTree};
 use llvm_lite::transforms::ModulePass;

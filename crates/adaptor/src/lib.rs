@@ -28,6 +28,12 @@
 //!    whitelist.
 //! 8. [`compat::VerifyCompat`] — the acceptance gate: fails if any
 //!    "unsupported syntax" remains.
+//!
+//! [`run_adaptor_budgeted`], which both flows call, runs the enabled passes
+//! and the gate and nothing else: the gate is its one compat scan. The
+//! paper's Table 4 (issues remaining after each pass) comes from
+//! [`run_adaptor_sampled`], which also counts the issues before the passes
+//! and after each pass that changed the module.
 
 pub mod compat;
 pub mod passes;
@@ -35,7 +41,8 @@ pub mod pipeline;
 
 pub use compat::{compat_issues, CompatIssue, IssueKind};
 pub use pipeline::{
-    registry, run_adaptor, run_adaptor_budgeted, AdaptorConfig, AdaptorReport, HlsAdaptor,
+    registry, run_adaptor, run_adaptor_budgeted, run_adaptor_sampled, AdaptorConfig, AdaptorReport,
+    CompatSamples, HlsAdaptor,
 };
 
 /// Errors are llvm-lite errors (the adaptor is an LLVM-level component).

@@ -2,7 +2,7 @@
 
 use llvm_lite::transforms::{ModulePass, PassManager, PassRegistry};
 use llvm_lite::Module;
-use pass_core::{Diagnostic, PassResult, PipelineReport};
+use pass_core::{Diagnostic, PassRecord, PassResult, PipelineReport};
 
 use crate::compat::{compat_issues, VerifyCompat};
 use crate::passes::{
@@ -87,19 +87,34 @@ impl AdaptorConfig {
     }
 }
 
-/// What happened during an adaptor run.
+/// What an adaptor run did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdaptorReport {
+    /// The instrumented per-pass execution report: timing, size deltas and
+    /// which passes changed the IR.
+    pub pipeline: PipelineReport,
+}
+
+/// An adaptor run with the Table-4 samples: the compat-issue count of the
+/// input and after each pass that ran.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CompatSamples {
     /// Compat issues in the input module.
     pub issues_before: usize,
-    /// `(pass name, issues remaining after it ran)`.
+    /// `(pass name, issues remaining after it ran)`, one per pass that ran;
+    /// the last one counts the output module.
     pub issues_after_pass: Vec<(String, usize)>,
+    /// The run itself.
+    pub report: AdaptorReport,
+}
+
+impl CompatSamples {
     /// Compat issues in the output module.
-    pub issues_after: usize,
-    /// Names of passes that changed the IR.
-    pub changed_passes: Vec<String>,
-    /// The instrumented per-pass execution report (timing, size deltas).
-    pub pipeline: PipelineReport,
+    pub fn issues_after(&self) -> usize {
+        self.issues_after_pass
+            .last()
+            .map_or(self.issues_before, |&(_, n)| n)
+    }
 }
 
 /// Build the configured pipeline (without the gate).
@@ -119,53 +134,53 @@ pub fn run_adaptor(m: &mut Module, cfg: &AdaptorConfig) -> Result<AdaptorReport>
 /// [`run_adaptor`] under a [`pass_core::Budget`]: each legalization pass
 /// (and the compat gate) charges one fuel unit and checks the deadline, so
 /// a budgeted caller gets a typed trip ([`crate::Error::Budget`]) instead
-/// of an unbounded pipeline run.
+/// of an unbounded pipeline run. The gate is the run's only compat scan.
 pub fn run_adaptor_budgeted(
     m: &mut Module,
     cfg: &AdaptorConfig,
     budget: &pass_core::Budget,
 ) -> Result<AdaptorReport> {
-    let mut report = AdaptorReport {
-        issues_before: compat_issues(m).len(),
-        ..AdaptorReport::default()
-    };
-    // One instrumented pipeline; the observer samples the compat-issue
-    // count after each pass (the Table-4 metric) while pass-core handles
-    // verification, timing, and change tracking. A pass that reported no
-    // change left the module as it was, so the previous sample stands.
-    let pm = build_pipeline(cfg);
-    let pipeline = pm.run_observed_budgeted(
-        m,
-        &mut |ir, rec| {
-            let issues = if rec.changed {
-                compat_issues(ir).len()
-            } else {
-                report
-                    .issues_after_pass
-                    .last()
-                    .map_or(report.issues_before, |&(_, n)| n)
-            };
-            report.issues_after_pass.push((rec.pass.clone(), issues));
-        },
-        budget,
-    )?;
-    report.changed_passes = pipeline
-        .changed_passes()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    report.pipeline = pipeline;
-    // The last per-pass sample was taken on the module as it now stands.
-    report.issues_after = report
-        .issues_after_pass
-        .last()
-        .map_or(report.issues_before, |&(_, n)| n);
+    run_observed(m, cfg, budget, &mut |_, _| {})
+}
+
+/// [`run_adaptor`] that also samples the compat-issue count before the
+/// passes and after each one (the Table-4 metric). Only the paper's
+/// table, `mha-adapt`, the paper-claim tests and the examples read the
+/// samples; the flows call [`run_adaptor_budgeted`].
+pub fn run_adaptor_sampled(m: &mut Module, cfg: &AdaptorConfig) -> Result<CompatSamples> {
+    let issues_before = compat_issues(m).len();
+    let mut issues_after_pass: Vec<(String, usize)> = Vec::new();
+    // A pass that reported no change left the module as it was, so the
+    // previous sample stands.
+    let report = run_observed(m, cfg, &pass_core::Budget::unlimited(), &mut |ir, rec| {
+        let issues = if rec.changed {
+            compat_issues(ir).len()
+        } else {
+            issues_after_pass.last().map_or(issues_before, |&(_, n)| n)
+        };
+        issues_after_pass.push((rec.pass.clone(), issues));
+    })?;
+    Ok(CompatSamples {
+        issues_before,
+        issues_after_pass,
+        report,
+    })
+}
+
+/// The enabled passes, with `observer` hearing each one, then the gate.
+fn run_observed(
+    m: &mut Module,
+    cfg: &AdaptorConfig,
+    budget: &pass_core::Budget,
+    observer: &mut dyn FnMut(&Module, &PassRecord),
+) -> Result<AdaptorReport> {
+    let pipeline = build_pipeline(cfg).run_observed_budgeted(m, observer, budget)?;
     if cfg.gate {
         let mut pm = PassManager::with_label("compat-gate");
         pm.add(VerifyCompat);
         pm.run_budgeted(m, budget)?;
     }
-    Ok(report)
+    Ok(AdaptorReport { pipeline })
 }
 
 /// The whole adaptor as one registerable pass (default config), so drivers
@@ -179,7 +194,7 @@ impl ModulePass<Module> for HlsAdaptor {
 
     fn run(&self, m: &mut Module) -> PassResult<bool> {
         let report = run_adaptor(m, &AdaptorConfig::default())?;
-        Ok(!report.changed_passes.is_empty())
+        Ok(report.pipeline.passes.iter().any(|p| p.changed))
     }
 }
 
@@ -229,12 +244,12 @@ func.func @gemm(%A: memref<4x4xf32>, %B: memref<4x4xf32>, %C: memref<4x4xf32>) a
     #[test]
     fn full_pipeline_clears_all_issues_on_gemm() {
         let mut m = lowered_gemm();
-        let report = run_adaptor(&mut m, &AdaptorConfig::default()).unwrap();
-        assert!(report.issues_before > 0, "raw lowering must be non-compat");
-        assert_eq!(report.issues_after, 0);
+        let samples = run_adaptor_sampled(&mut m, &AdaptorConfig::default()).unwrap();
+        assert!(samples.issues_before > 0, "raw lowering must be non-compat");
+        assert_eq!(samples.issues_after(), 0);
         // Issue count decreases monotonically... not strictly required, but
         // the final count must be the minimum.
-        let min = report
+        let min = samples
             .issues_after_pass
             .iter()
             .map(|(_, n)| *n)
@@ -335,8 +350,9 @@ func.func @gemm(%A: memref<4x4xf32>, %B: memref<4x4xf32>, %C: memref<4x4xf32>) a
         .unwrap()
         .without("recover-arrays")
         .unwrap();
-        let report = run_adaptor(&mut m, &cfg).unwrap();
-        assert!(report.issues_after > 0);
+        let samples = run_adaptor_sampled(&mut m, &cfg).unwrap();
+        assert!(samples.issues_after() > 0);
+        assert_eq!(samples.issues_after(), compat_issues(&m).len());
     }
 
     #[test]
@@ -351,15 +367,16 @@ func.func @gemm(%A: memref<4x4xf32>, %B: memref<4x4xf32>, %C: memref<4x4xf32>) a
     #[test]
     fn report_carries_instrumented_pipeline() {
         let mut m = lowered_gemm();
-        let report = run_adaptor(&mut m, &AdaptorConfig::default()).unwrap();
-        assert_eq!(report.pipeline.label, "hls-adaptor");
-        assert_eq!(report.pipeline.passes.len(), 7);
+        let samples = run_adaptor_sampled(&mut m, &AdaptorConfig::default()).unwrap();
+        let pipeline = &samples.report.pipeline;
+        assert_eq!(pipeline.label, "hls-adaptor");
+        assert_eq!(pipeline.passes.len(), 7);
         // Issue samples line up 1:1 with executed passes.
-        assert_eq!(report.issues_after_pass.len(), 7);
-        for (rec, (name, _)) in report.pipeline.passes.iter().zip(&report.issues_after_pass) {
+        assert_eq!(samples.issues_after_pass.len(), 7);
+        for (rec, (name, _)) in pipeline.passes.iter().zip(&samples.issues_after_pass) {
             assert_eq!(&rec.pass, name);
         }
-        assert!(report.pipeline.passes.iter().all(|p| p.size_after > 0));
+        assert!(pipeline.passes.iter().all(|p| p.size_after > 0));
     }
 
     #[test]
@@ -373,11 +390,12 @@ func.func @gemm(%A: memref<4x4xf32>, %B: memref<4x4xf32>, %C: memref<4x4xf32>) a
         assert_eq!(trip.kind, pass_core::BudgetKind::Fuel);
         // Two fuel units ran exactly the first two passes before tripping.
         assert_eq!(trip.stage, PASS_NAMES[2]);
-        // An unlimited budget matches the plain entry point.
+        // An unlimited budget runs every pass and passes the gate.
         let mut m2 = lowered_gemm();
         let r =
             run_adaptor_budgeted(&mut m2, &AdaptorConfig::default(), &Default::default()).unwrap();
-        assert_eq!(r.issues_after, 0);
+        assert_eq!(r.pipeline.passes.len(), PASS_NAMES.len());
+        assert!(compat_issues(&m2).is_empty());
     }
 
     #[test]

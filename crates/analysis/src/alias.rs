@@ -141,16 +141,6 @@ impl PointsTo {
         points_to_set(f, v)
     }
 
-    /// Unique base of `v`, or `Unknown` (see [`resolve_base`]).
-    pub fn unique_base(&self, f: &Function, v: &Value) -> MemObject {
-        let set = self.of(f, v);
-        let mut iter = set.into_iter();
-        match (iter.next(), iter.next()) {
-            (Some(only), None) => only,
-            _ => MemObject::Unknown,
-        }
-    }
-
     /// May the two pointers reference the same memory?
     pub fn may_alias(&self, f: &Function, a: &Value, b: &Value) -> bool {
         let sa = self.of(f, a);

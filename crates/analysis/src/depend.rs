@@ -268,14 +268,6 @@ impl LoopNest {
         self.loops.len().saturating_sub(1)
     }
 
-    /// True when every access has a known base and affine subscripts, so
-    /// legality verdicts are dependence-backed rather than assumed.
-    pub fn fully_analyzable(&self) -> bool {
-        self.accesses
-            .iter()
-            .all(|a| a.base.is_some() && a.subs.is_some())
-    }
-
     /// All dependences between access pairs (at least one store), with
     /// assumed all-`Star` edges for unanalyzable pairs.
     pub fn dependences(&self) -> Vec<Dependence> {

@@ -14,17 +14,17 @@ fn main() {
     for k in kernels::all_kernels() {
         let m = prepare_mlir(k, &d).expect("parse");
         let mut module = lowering::lower(m).expect("lower");
-        let report =
-            adaptor::run_adaptor(&mut module, &AdaptorConfig::measuring()).expect("adaptor");
+        let samples = adaptor::run_adaptor_sampled(&mut module, &AdaptorConfig::measuring())
+            .expect("adaptor");
         if pass_names.is_empty() {
-            pass_names = report
+            pass_names = samples
                 .issues_after_pass
                 .iter()
                 .map(|(n, _)| n.clone())
                 .collect();
         }
-        let mut row = vec![k.name.to_string(), report.issues_before.to_string()];
-        row.extend(report.issues_after_pass.iter().map(|(_, n)| n.to_string()));
+        let mut row = vec![k.name.to_string(), samples.issues_before.to_string()];
+        row.extend(samples.issues_after_pass.iter().map(|(_, n)| n.to_string()));
         rows.push(row);
     }
     let mut headers: Vec<&str> = vec!["kernel", "raw"];

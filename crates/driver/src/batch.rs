@@ -5,10 +5,12 @@
 //! MLIR → flow → csynth → co-simulation pipeline on a worker pool
 //! (`--jobs` threads pulling from a shared queue), with each stage's output
 //! served from the content-addressed [`crate::cache`] when its inputs are
-//! unchanged. The stages communicate *only* through the printed `.ll`
-//! module text, so a stage's cache key is exactly a hash of its input text
-//! plus configuration — cold and warm runs execute the same pipeline on the
-//! same bytes.
+//! unchanged. A stage's cache key is a hash of the printed `.ll` module
+//! text plus configuration. After a flow-cache miss, csynth and
+//! co-simulation run on the module the flow built; after a hit, on the
+//! parsed text. `tests/module_equivalence.rs` requires both to give the
+//! same csynth payload, interpreter buffers and steps, so cold and warm
+//! runs report the same results.
 //!
 //! Supervision (ISSUE 4) adds four guarantees on top of PR 3's engine:
 //!

@@ -35,21 +35,19 @@ fn main() {
         eprintln!("  [{:?}] @{}: {}", i.kind, i.function, i.detail);
     }
 
-    let report = adaptor::run_adaptor(&mut module, &AdaptorConfig::default()).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let samples = adaptor::run_adaptor_sampled(&mut module, &AdaptorConfig::default())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
+    let pipeline = &samples.report.pipeline;
     eprintln!("== Pass pipeline");
-    for (pass, remaining) in &report.issues_after_pass {
-        let changed = if report.changed_passes.contains(pass) {
-            "changed"
-        } else {
-            "  --   "
-        };
+    for (rec, (pass, remaining)) in pipeline.passes.iter().zip(&samples.issues_after_pass) {
+        let changed = if rec.changed { "changed" } else { "  --   " };
         eprintln!("  {pass:<26} {changed}   issues remaining: {remaining}");
     }
-    eprintln!("== Issues after: {}", report.issues_after);
-    eprint!("{}", report.pipeline.render());
+    eprintln!("== Issues after: {}", samples.issues_after());
+    eprint!("{}", pipeline.render());
 
     if !quiet {
         print!("{}", llvm_lite::printer::print_module(&module));

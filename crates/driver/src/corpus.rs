@@ -28,7 +28,7 @@
 
 use std::path::{Path, PathBuf};
 
-use fuzzing::sig::{Failure, OracleKind, Signature};
+use fuzzing::sig::{OracleKind, Signature};
 use fuzzing::Finding;
 
 use crate::cache::{atomic_write, CacheError};
@@ -187,12 +187,6 @@ impl Corpus {
             reduced,
         })
     }
-}
-
-/// Rebuild a [`Failure`]-shaped record from an entry (the message is the
-/// signature's normalized form — the raw message is not persisted).
-pub fn entry_failure(e: &CorpusEntry) -> Failure {
-    Failure::new(e.oracle, &e.stage, e.signature.as_str())
 }
 
 #[cfg(test)]

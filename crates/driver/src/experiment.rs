@@ -1,10 +1,9 @@
 //! The experiment harness: run kernels through both flows and collect
 //! everything the table/figure generators need.
 //!
-//! Each flow runs through the batch engine ([`run_supervised`]), so the
-//! paper tables synthesize and co-simulate the printed and re-parsed
-//! module, the same text boundary `mha-batch` and `mha-serve` cross and
-//! Vitis reads.
+//! Each flow runs through the batch engine ([`run_supervised`]) without a
+//! cache, so the paper tables synthesize and co-simulate the module the
+//! flow built, exactly as a cold `mha-batch` or `mha-serve` compile does.
 
 use vitis_sim::{CsynthReport, Target};
 

@@ -97,12 +97,22 @@ mod tests {
     #[test]
     fn adaptor_flow_reports_resolved_issues() {
         let k = kernels::kernel("two_mm").unwrap();
-        let art = run_flow(k, &Directives::default(), Flow::Adaptor).unwrap();
-        let rep = art.adaptor_report.unwrap();
-        assert!(rep.issues_before > 0);
-        assert_eq!(rep.issues_after, 0);
+        let d = Directives::default();
+        let mut module = lowering::lower(prepare_mlir(k, &d).unwrap()).unwrap();
+        let samples =
+            adaptor::run_adaptor_sampled(&mut module, &adaptor::AdaptorConfig::default()).unwrap();
+        assert!(samples.issues_before > 0);
+        assert_eq!(samples.issues_after(), 0);
         // two_mm's heap temporary must have been demoted.
-        assert!(rep.changed_passes.iter().any(|p| p == "demote-malloc"));
+        assert!(samples
+            .report
+            .pipeline
+            .changed_passes()
+            .contains(&"demote-malloc"));
+        // The flow's adaptor leaves the module the sampled run left.
+        let art = run_flow(k, &d, Flow::Adaptor).unwrap();
+        let print = llvm_lite::printer::print_module;
+        assert_eq!(print(&art.module), print(&module));
     }
 
     #[test]

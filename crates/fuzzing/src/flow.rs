@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use adaptor::{AdaptorConfig, AdaptorReport};
+use adaptor::AdaptorConfig;
 use mlir_lite::MlirModule;
 use pass_core::{Budget, BudgetError, Diagnostic, Error, PipelineReport};
 
@@ -47,8 +47,6 @@ impl Flow {
 pub struct FlowArtifacts {
     /// The HLS-ready module.
     pub module: llvm_lite::Module,
-    /// Adaptor pass report (adaptor flow only).
-    pub adaptor_report: Option<AdaptorReport>,
     /// Generated C++ (C++ flow only).
     pub cpp_source: Option<String>,
     /// Per-stage timing of the MLIR→HLS-ready-IR conversion.
@@ -139,7 +137,7 @@ pub fn run(
     };
     let cleanup = llvm_lite::transforms::standard_cleanup();
     let mut report = PipelineReport::new(flow.label());
-    let (module, adaptor_report, cpp_source) = match flow {
+    let (module, cpp_source) = match flow {
         Flow::Adaptor => {
             on_stage("lower");
             charge("lower")?;
@@ -151,12 +149,12 @@ pub fn run(
                 Ok(out)
             })?;
             on_stage("adaptor");
-            let adaptor_report = report
+            report
                 .time_stage("adaptor", || {
                     adaptor::run_adaptor_budgeted(&mut module, &AdaptorConfig::default(), budget)
                 })
                 .map_err(or_trip("adaptor", FlowError::Adaptor))?;
-            (module, Some(adaptor_report), None)
+            (module, None)
         }
         Flow::Cpp => {
             on_stage("emit-cpp");
@@ -174,12 +172,11 @@ pub fn run(
                 .run_to_fixpoint_budgeted(&mut module, 4, budget)
                 .map_err(or_trip("cleanup", |e| FlowError::Cleanup(e.into())))?;
             report.extend_prefixed("cleanup", &fixpoint);
-            (module, None, Some(cpp))
+            (module, Some(cpp))
         }
     };
     Ok(FlowArtifacts {
         module,
-        adaptor_report,
         cpp_source,
         report,
     })

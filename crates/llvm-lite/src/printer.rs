@@ -187,13 +187,6 @@ impl NameMap {
     }
 }
 
-/// Print one function (definition or declaration).
-pub fn print_function(m: &Module, f: &Function) -> String {
-    let mut out = String::new();
-    write_function(&mut out, m, f);
-    out
-}
-
 fn write_function(out: &mut String, m: &Module, f: &Function) {
     let kw = if f.is_declaration {
         "declare"
@@ -262,13 +255,6 @@ fn write_typed_val(out: &mut String, m: &Module, f: &Function, names: &NameMap, 
     push_type(out, &f.value_type_ref(m, v));
     out.push(' ');
     write_val(out, f, names, v);
-}
-
-/// Print a single instruction (without indentation).
-pub fn print_inst(m: &Module, f: &Function, names: &NameMap, id: InstId) -> String {
-    let mut out = String::new();
-    write_inst(&mut out, m, f, names, id);
-    out
 }
 
 fn write_inst(out: &mut String, m: &Module, f: &Function, names: &NameMap, id: InstId) {

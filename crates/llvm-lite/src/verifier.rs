@@ -52,11 +52,6 @@ pub fn verify_module(m: &Module) -> Result<()> {
     verify_module_diag(m).map_err(crate::Error::from)
 }
 
-/// Verify a single function definition (crate-error wrapper).
-pub fn verify_function(m: &Module, f: &Function) -> Result<()> {
-    verify_function_diag(m, f).map_err(crate::Error::from)
-}
-
 /// Where each placed instruction sits: its first `(block, position)` in
 /// layout order, the answer `Function::block_of` gives, built in one sweep.
 struct Placement(Vec<(BlockId, u32)>);

@@ -429,13 +429,6 @@ impl MlirModule {
         })
     }
 
-    /// Mutable [`MlirModule::func`].
-    pub fn func_mut(&mut self, name: &str) -> Option<&mut Op> {
-        self.ops.iter_mut().find(|o| {
-            o.name == "func.func" && o.attrs.get("sym_name").and_then(Attr::as_str) == Some(name)
-        })
-    }
-
     /// Walk every op in the module.
     pub fn walk<'a>(&'a self, visit: &mut impl FnMut(&'a Op)) {
         for o in &self.ops {

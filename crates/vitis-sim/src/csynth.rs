@@ -266,6 +266,7 @@ fn synthesize_function(
             let r = compute_ii_budgeted(
                 m,
                 f,
+                &li,
                 l,
                 target,
                 &cx,

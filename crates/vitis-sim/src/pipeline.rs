@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use llvm_lite::analysis::NaturalLoop;
+use llvm_lite::analysis::{LoopInfo, NaturalLoop};
 use llvm_lite::printer::NameMap;
 use llvm_lite::{Function, InstId, Module, Opcode, Value};
 use pass_core::{Budget, BudgetError, Diagnostic};
@@ -56,27 +56,15 @@ pub struct IiResult {
 }
 
 /// Compute the II of a pipelined loop, given the unroll replication factor
-/// applied to its body (1 = no unroll).
-pub fn compute_ii(
-    m: &Module,
-    f: &Function,
-    l: &NaturalLoop,
-    target: &Target,
-    cx: &ScheduleCtx,
-    requested: u32,
-    unroll: u32,
-) -> IiResult {
-    compute_ii_budgeted(m, f, l, target, cx, requested, unroll, &Budget::unlimited())
-        .expect("unlimited budget cannot trip")
-}
-
-/// [`compute_ii`] under a [`Budget`]: the store×access dependence-pair scan
-/// (the quadratic part of RecMII) charges one fuel unit per store, so huge
-/// access sets trip cooperatively.
+/// applied to its body (1 = no unroll) and the function's loop forest.
+/// The store×access dependence-pair scan (the quadratic part of RecMII)
+/// charges one fuel unit per store of `budget`, so huge access sets trip
+/// cooperatively.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_ii_budgeted(
     m: &Module,
     f: &Function,
+    li: &LoopInfo,
     l: &NaturalLoop,
     target: &Target,
     cx: &ScheduleCtx,
@@ -102,43 +90,18 @@ pub fn compute_ii_budgeted(
         }
     }
 
-    // RecMII: carried dependences, with the whole-nest distance vectors
-    // refining the pairwise analysis where both accesses are affine.
-    let nf = nest_facts(f, l);
-    let mut rec_mii = 1u32;
-    let mut rec_base = None;
-    for st in accesses.iter().filter(|a| a.is_store) {
-        budget.charge(1, "csynth/ii")?;
-        for other in &accesses {
-            if other.inst == st.inst {
-                continue;
-            }
-            let dist = refined_distance(nf.as_ref(), st, other)
-                .unwrap_or_else(|| dependence_distance(st, other));
-            let d = match dist {
-                Distance::None => continue,
-                Distance::Exact(d) => d.max(1),
-                Distance::Unknown => 1,
-            };
-            let lat = recurrence_latency(m, f, st, other, target, cx);
-            let cand = lat.div_ceil(d);
-            if cand > rec_mii {
-                rec_mii = cand;
-                rec_base = Some(&st.base);
-            }
-        }
-    }
+    let rec = binding_recurrence(m, f, li, l, &accesses, target, cx, budget)?;
+    let rec_mii = rec.as_ref().map_or(1, |r| r.mii);
 
     let floor = rec_mii.max(res_mii);
     let ii = floor.max(requested.max(1));
     // The binding base is named once, as the printed module names it.
-    let name = |base: Option<&BaseObject>| base.map_or_else(String::new, |b| describe_base(f, b));
     let bound = if floor <= requested.max(1) {
         IiBound::Target
     } else if rec_mii >= res_mii {
-        IiBound::Recurrence(name(rec_base))
+        IiBound::Recurrence(rec.map_or_else(String::new, |r| describe_base(f, &r.store.base)))
     } else {
-        IiBound::MemoryPorts(name(res_base.as_ref()))
+        IiBound::MemoryPorts(res_base.map_or_else(String::new, |b| describe_base(f, &b)))
     };
     Ok(IiResult {
         ii,
@@ -146,6 +109,68 @@ pub fn compute_ii_budgeted(
         rec_mii,
         res_mii,
     })
+}
+
+/// The dependence cycle that sets a loop's RecMII.
+struct Recurrence<'a> {
+    /// `ceil(latency / distance)`, the RecMII it implies.
+    mii: u32,
+    /// The store that closes the cycle.
+    store: &'a Access,
+    /// The access it feeds across iterations.
+    other: &'a Access,
+    /// Their carried distance.
+    distance: Distance,
+    /// Registered cycles around the cycle.
+    latency: u32,
+}
+
+/// The binding recurrence of loop `l`: the first (store, access) pair of
+/// `accesses`, in access order, with the largest `ceil(latency /
+/// distance)`; `None` when no pair is carried. Carried dependences come
+/// from the whole-nest distance vectors where both accesses are affine,
+/// from the pairwise analysis elsewhere. Each store charges one fuel unit.
+/// csynth's II and the II explainer both read it, so they cannot disagree.
+#[allow(clippy::too_many_arguments)]
+fn binding_recurrence<'a>(
+    m: &Module,
+    f: &Function,
+    li: &LoopInfo,
+    l: &NaturalLoop,
+    accesses: &'a [Access],
+    target: &Target,
+    cx: &ScheduleCtx,
+    budget: &Budget,
+) -> Result<Option<Recurrence<'a>>, BudgetError> {
+    let nf = nest_facts(f, li, l);
+    let mut worst: Option<Recurrence<'a>> = None;
+    for store in accesses.iter().filter(|a| a.is_store) {
+        budget.charge(1, "csynth/ii")?;
+        for other in accesses {
+            if other.inst == store.inst {
+                continue;
+            }
+            let distance = refined_distance(nf.as_ref(), store, other)
+                .unwrap_or_else(|| dependence_distance(store, other));
+            let d = match distance {
+                Distance::None => continue,
+                Distance::Exact(d) => d.max(1),
+                Distance::Unknown => 1,
+            };
+            let latency = recurrence_latency(m, f, store, other, target, cx);
+            let mii = latency.div_ceil(d);
+            if worst.as_ref().is_none_or(|w| mii > w.mii) {
+                worst = Some(Recurrence {
+                    mii,
+                    store,
+                    other,
+                    distance,
+                    latency,
+                });
+            }
+        }
+    }
+    Ok(worst)
 }
 
 /// Whole-nest dependence facts for one pipelined loop: the multi-IV
@@ -159,12 +184,8 @@ struct NestFacts {
     idx: HashMap<usize, usize>,
 }
 
-fn nest_facts(f: &Function, l: &NaturalLoop) -> Option<NestFacts> {
-    let cfg = llvm_lite::analysis::Cfg::build(f);
-    let dom = llvm_lite::analysis::DomTree::build(f, &cfg);
-    let li = llvm_lite::analysis::LoopInfo::build(f, &cfg, &dom);
-    let inner = li.loop_with_header(l.header)?;
-    let nest = depend::nest_of_innermost(f, &li, inner)?;
+fn nest_facts(f: &Function, li: &LoopInfo, l: &NaturalLoop) -> Option<NestFacts> {
+    let nest = depend::nest_of_innermost(f, li, l)?;
     let deps = nest.dependences();
     let idx = nest
         .accesses
@@ -226,7 +247,7 @@ pub const II_BLOCKER_PASS: &str = "ii-blocker";
 pub fn explain_ii_blockers(m: &Module, f: &Function, target: &Target) -> Vec<Diagnostic> {
     let cfg = llvm_lite::analysis::Cfg::build(f);
     let dom = llvm_lite::analysis::DomTree::build(f, &cfg);
-    let loops = llvm_lite::analysis::LoopInfo::build(f, &cfg, &dom);
+    let loops = LoopInfo::build(f, &cfg, &dom);
     let cx = ScheduleCtx::from_function(f);
     let inst_ref = |id: InstId| {
         let n = &f.inst(id).name;
@@ -236,42 +257,23 @@ pub fn explain_ii_blockers(m: &Module, f: &Function, target: &Target) -> Vec<Dia
             format!("%{n}")
         }
     };
+    let unlimited = Budget::unlimited();
     let mut out = Vec::new();
     for l in loops.innermost_loops() {
         let accesses = loop_accesses(f, l);
-        let nf = nest_facts(f, l);
-        // The binding recurrence: the (store, reader) pair with the largest
-        // ceil(latency / distance).
-        let mut worst: Option<(u32, &Access, &Access, Distance, u32)> = None;
-        for st in accesses.iter().filter(|a| a.is_store) {
-            for other in &accesses {
-                if other.inst == st.inst {
-                    continue;
-                }
-                let dist = refined_distance(nf.as_ref(), st, other)
-                    .unwrap_or_else(|| dependence_distance(st, other));
-                let d = match dist {
-                    Distance::None => continue,
-                    Distance::Exact(d) => d.max(1),
-                    Distance::Unknown => 1,
-                };
-                let lat = recurrence_latency(m, f, st, other, target, &cx);
-                let cand = lat.div_ceil(d);
-                if worst.is_none_or(|(c, ..)| cand > c) {
-                    worst = Some((cand, st, other, dist, lat));
-                }
-            }
-        }
-        let Some((rec_mii, st, other, dist, lat)) = worst.filter(|(c, ..)| *c > 1) else {
+        let Some(rec) = binding_recurrence(m, f, &loops, l, &accesses, target, &cx, &unlimited)
+            .expect("unlimited budget cannot trip")
+            .filter(|r| r.mii > 1)
+        else {
             continue;
         };
-        let base = describe_base(f, &st.base);
-        let reader = if other.is_store {
-            format!("store {}", inst_ref(other.inst))
+        let base = describe_base(f, &rec.store.base);
+        let reader = if rec.other.is_store {
+            format!("store {}", inst_ref(rec.other.inst))
         } else {
-            format!("load {}", inst_ref(other.inst))
+            format!("load {}", inst_ref(rec.other.inst))
         };
-        let distance = match dist {
+        let distance = match rec.distance {
             Distance::Exact(d) => format!("carried distance {d}"),
             _ => "unprovable carried distance (opaque address arithmetic: \
                  distance 1 is assumed)"
@@ -281,16 +283,18 @@ pub fn explain_ii_blockers(m: &Module, f: &Function, target: &Target) -> Vec<Dia
             Diagnostic::note(
                 II_BLOCKER_PASS,
                 format!(
-                    "RecMII = {rec_mii} on {base}: store {} feeds {reader} across \
+                    "RecMII = {} on {base}: store {} feeds {reader} across \
                      iterations at {distance}, and the load -> compute -> store \
-                     cycle takes {lat} registered cycles",
-                    inst_ref(st.inst)
+                     cycle takes {} registered cycles",
+                    rec.mii,
+                    inst_ref(rec.store.inst),
+                    rec.latency
                 ),
             )
             .with_loc(
                 pass_core::Loc::function(&f.name)
                     .in_block(&f.block(l.header).name)
-                    .at_inst(inst_ref(st.inst)),
+                    .at_inst(inst_ref(rec.store.inst)),
             ),
         );
     }
@@ -374,18 +378,34 @@ fn path_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llvm_lite::analysis::{Cfg, DomTree, LoopInfo};
+    use llvm_lite::analysis::{Cfg, DomTree};
     use llvm_lite::parser::parse_module;
 
-    fn ii_of(src: &str, requested: u32) -> IiResult {
-        let m = parse_module("m", src).unwrap();
+    /// The II of `m`'s first innermost loop.
+    fn ii_in(m: &Module, requested: u32, unroll: u32) -> IiResult {
         let f = &m.functions[0];
         let cfg = Cfg::build(f);
         let dom = DomTree::build(f, &cfg);
         let li = LoopInfo::build(f, &cfg, &dom);
         let l = li.innermost_loops()[0];
         let cx = ScheduleCtx::from_function(f);
-        compute_ii(&m, f, l, &Target::default(), &cx, requested, 1)
+        let unlimited = Budget::unlimited();
+        compute_ii_budgeted(
+            m,
+            f,
+            &li,
+            l,
+            &Target::default(),
+            &cx,
+            requested,
+            unroll,
+            &unlimited,
+        )
+        .unwrap()
+    }
+
+    fn ii_of(src: &str, requested: u32) -> IiResult {
+        ii_in(&parse_module("m", src).unwrap(), requested, 1)
     }
 
     const ELEMENTWISE: &str = r#"
@@ -586,15 +606,7 @@ exit:
     fn alloca_bounds_are_named_as_the_module_prints() {
         let mut m = parse_module("m", SECOND_ALLOCA_BOUND).unwrap();
         let second = m.functions[0].inst_ids()[1].1;
-        let bound = |m: &Module| {
-            let f = &m.functions[0];
-            let cfg = Cfg::build(f);
-            let dom = DomTree::build(f, &cfg);
-            let li = LoopInfo::build(f, &cfg, &dom);
-            let cx = ScheduleCtx::from_function(f);
-            let l = li.innermost_loops()[0];
-            compute_ii(m, f, l, &Target::default(), &cx, 1, 1).bound
-        };
+        let bound = |m: &Module| ii_in(m, 1, 1).bound;
         assert_eq!(bound(&m), IiBound::MemoryPorts("%buf1".into()));
         // A repeated hint prints with a suffix, as lowering leaves every
         // alloca `buf`; a missing one prints as the next `%tN`.
@@ -623,14 +635,7 @@ exit:
 
     #[test]
     fn unroll_multiplies_port_pressure() {
-        let m = parse_module("m", PORT_BOUND).unwrap();
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let dom = DomTree::build(f, &cfg);
-        let li = LoopInfo::build(f, &cfg, &dom);
-        let l = li.innermost_loops()[0];
-        let cx = ScheduleCtx::from_function(f);
-        let r = compute_ii(&m, f, l, &Target::default(), &cx, 1, 4);
+        let r = ii_in(&parse_module("m", PORT_BOUND).unwrap(), 1, 4);
         assert_eq!(r.res_mii, 6); // ceil(12 / 2)
     }
 

@@ -37,10 +37,13 @@ fn main() {
 
     // Lower and adapt.
     let mut module = lowering::lower(m).expect("lower");
-    let report = adaptor::run_adaptor(&mut module, &AdaptorConfig::default()).expect("adaptor");
+    let samples =
+        adaptor::run_adaptor_sampled(&mut module, &AdaptorConfig::default()).expect("adaptor");
     println!(
         "adaptor fixed {} -> {} issues; passes that fired: {:?}",
-        report.issues_before, report.issues_after, report.changed_passes
+        samples.issues_before,
+        samples.issues_after(),
+        samples.report.pipeline.changed_passes()
     );
 
     // Validate numerically with the IR interpreter.
